@@ -491,13 +491,27 @@ mod tests {
 
     #[test]
     fn same_seed_reruns_are_identical() {
+        // Per-seed determinism of everything a rank reports, across
+        // fault schedules that fail early and late.
         let cfg = ChaosConfig::default();
-        let a = run_chaos_tealeaf(&cfg, faulty(3, 0.02));
-        let b = run_chaos_tealeaf(&cfg, faulty(3, 0.02));
-        assert_eq!(a.results, b.results);
-        for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
-            assert_eq!(ra.trace, rb.trace, "rank {} trace differs", ra.rank);
-            assert_eq!(ra.race_count, rb.race_count);
+        for (seed, rate) in [(3, 0.02), (1, 0.08), (7, 0.08), (23, 0.08)] {
+            let a = run_chaos_tealeaf(&cfg, faulty(seed, rate));
+            let b = run_chaos_tealeaf(&cfg, faulty(seed, rate));
+            assert_eq!(a.results, b.results, "seed {seed}");
+            for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
+                let r = ra.rank;
+                assert_eq!(ra.trace, rb.trace, "seed {seed} rank {r} trace differs");
+                assert_eq!(ra.races, rb.races, "seed {seed} rank {r}");
+                assert_eq!(ra.race_count, rb.race_count, "seed {seed} rank {r}");
+                assert_eq!(ra.tsan, rb.tsan, "seed {seed} rank {r}");
+                assert_eq!(ra.events, rb.events, "seed {seed} rank {r}");
+                assert_eq!(ra.must_reports, rb.must_reports, "seed {seed} rank {r}");
+                assert_eq!(
+                    ra.tool_memory_bytes, rb.tool_memory_bytes,
+                    "seed {seed} rank {r}"
+                );
+                assert_eq!(ra.diagnostics, rb.diagnostics, "seed {seed} rank {r}");
+            }
         }
     }
 }

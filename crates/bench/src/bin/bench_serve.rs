@@ -1,4 +1,4 @@
-//! Serve-path throughput: many sessions over one checker pool vs solo
+//! Serve-path throughput: many concurrent sessions vs solo
 //! sequential replay, with a JSON trajectory record.
 //!
 //! Streams `CUSAN_BENCH_SERVE_SESSIONS` copies of the trace corpus (the
@@ -28,7 +28,9 @@ const GOLDEN_FIXTURE: &str = include_str!("../../../../tests/data/tealeaf_small.
 /// text golden fixture is transcoded to match so the whole corpus is
 /// uniform.
 fn active_format() -> TraceFormat {
-    cusan::ctx::trace_format_env().unwrap_or(TraceFormat::Text)
+    cusan::ctx::env_overlay()
+        .trace_format
+        .unwrap_or(TraceFormat::Text)
 }
 
 fn corpus() -> Vec<Vec<u8>> {
@@ -102,7 +104,8 @@ fn main() {
         started.elapsed()
     });
 
-    // Concurrent: all sessions at once over one pool. Summaries are
+    // Concurrent: all sessions at once, each checked on its own feeding
+    // thread. Summaries are
     // re-verified once outside the timed region.
     let served_time = measure(runs, || {
         serve_pass(&corpus, sessions, EngineConfig::default()).0
@@ -129,7 +132,6 @@ fn main() {
         &corpus,
         sessions,
         EngineConfig {
-            check_threads: None,
             global_page_budget: Some(budget),
             ..EngineConfig::default()
         },
@@ -278,7 +280,7 @@ fn main() {
         Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 
-    // The concurrent path must not collapse: like the async-check bench,
+    // The concurrent path must not collapse:
     // assert a lenient floor only when there is parallelism to exploit.
     if parallelism >= 2 {
         assert!(

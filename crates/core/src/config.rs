@@ -62,22 +62,6 @@ pub struct ToolConfig {
     /// (`TsanStats::dropped_annotations`) instead of growing the shadow
     /// unboundedly. `None` (the default) is unlimited.
     pub shadow_page_budget: Option<usize>,
-    /// Asynchronous checking: push events into a bounded SPSC ring
-    /// drained by the shared checker pool instead of applying them
-    /// inline (see `crates/core/src/async_check.rs`). Pure execution
-    /// strategy — traces, stats, and race reports are bit-for-bit
-    /// identical to sync mode. Off by default; the `CUSAN_ASYNC_CHECK=1`
-    /// knob (read in [`crate::ToolCtx::new`]) overrides this field
-    /// process-wide.
-    pub async_check: bool,
-    /// Worker-thread count for the shared async checker pool
-    /// (ignored when `async_check` is off). `None` (the default) sizes
-    /// the pool from hardware — `min(active ranks,
-    /// available_parallelism − 1)`, at least one — keeping detection
-    /// work proportional to backlog rather than rank count. The
-    /// `CUSAN_CHECK_THREADS=<n>` knob (read in [`crate::ToolCtx::new`])
-    /// overrides this field process-wide.
-    pub check_threads: Option<usize>,
     /// Poison timeout for the simulated-MPI barriers, in milliseconds: a
     /// rank stuck this long in `mpi-sim`'s `SimBarrier` (world barrier
     /// or collective phase barrier) poisons the barrier and every waiter
@@ -108,8 +92,6 @@ impl ToolConfig {
         shadow_arena: true,
         faults: FaultPlan::DISABLED,
         shadow_page_budget: None,
-        async_check: false,
-        check_threads: None,
         barrier_timeout_ms: None,
         trace_format: TraceFormat::Text,
     };
@@ -151,51 +133,19 @@ impl Flavor {
             Flavor::Vanilla => ToolConfig::VANILLA,
             Flavor::Tsan => ToolConfig {
                 tsan: true,
-                must: false,
-                cusan: false,
-                typeart: false,
-                track_access_ranges: false,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
             Flavor::Must => ToolConfig {
                 tsan: true,
                 must: true,
-                cusan: false,
-                typeart: false,
-                track_access_ranges: false,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
             Flavor::Cusan => ToolConfig {
                 tsan: true,
-                must: false,
                 cusan: true,
                 typeart: true,
                 track_access_ranges: true,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
             Flavor::MustCusan => ToolConfig {
                 tsan: true,
@@ -203,15 +153,7 @@ impl Flavor {
                 cusan: true,
                 typeart: true,
                 track_access_ranges: true,
-                bounded_tracking: false,
-                shadow_tiered: true,
-                shadow_arena: true,
-                faults: FaultPlan::DISABLED,
-                shadow_page_budget: None,
-                async_check: false,
-                check_threads: None,
-                barrier_timeout_ms: None,
-                trace_format: TraceFormat::Text,
+                ..ToolConfig::VANILLA
             },
         }
     }
@@ -287,21 +229,9 @@ mod tests {
             assert_eq!(f.config().faults, FaultPlan::DISABLED, "{f}");
             assert!(!f.config().faults.enabled(), "{f}");
             assert_eq!(f.config().shadow_page_budget, None, "{f}");
-            assert!(!f.config().async_check, "{f}: sync is the A/B default");
         }
         assert_eq!(ToolConfig::VANILLA.faults, FaultPlan::DISABLED);
         assert_eq!(ToolConfig::VANILLA.shadow_page_budget, None);
-        const { assert!(!ToolConfig::VANILLA.async_check) } // sync is the A/B default
-    }
-
-    #[test]
-    fn check_threads_defaults_to_hardware_sizing() {
-        // `None` lets the shared checker pool size itself from hardware;
-        // no flavor pins a worker count.
-        for f in Flavor::ALL {
-            assert_eq!(f.config().check_threads, None, "{f}");
-        }
-        assert_eq!(ToolConfig::VANILLA.check_threads, None);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! All instrumentation flows through [`ToolCtx::emit`] as typed
 //! [`CusanEvent`]s (see [`crate::event`]): the owned [`CheckSession`]
-//! applies each event to the detector first (inline, or via the checker
-//! pool in async mode), then the counter sink and any installed sinks
-//! (e.g. the trace recorder) observe it, in that order. `ToolCtx` is the
+//! applies each event to the detector first, inline on the rank thread
+//! (the paper's in-process model), then the counter sink and any
+//! installed sinks (e.g. the trace recorder) observe it, in that order. `ToolCtx` is the
 //! live-instrumentation *front end* over a session — trace replay and
 //! `cusan-serve` drive the same [`CheckSession`] without one.
 //!
@@ -19,9 +19,8 @@
 //! through the `host_*` helpers here, which emit read/write range events
 //! exactly when the `tsan` flag is active.
 
-use crate::async_check::{AsyncCheckStats, AsyncChecker};
 use crate::config::ToolConfig;
-use crate::event::{CtxInterner, CusanEvent, EventCounters, EventSink, FiberPredictor, StrId};
+use crate::event::{CtxInterner, CusanEvent, EventCounters, EventSink, StrId};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::session::{CheckSession, SessionSummary};
 use crate::trace::{TraceFormat, TraceSink};
@@ -32,180 +31,121 @@ use std::sync::OnceLock;
 use tsan_rt::{FiberId, RaceReport, TsanRuntime, TsanStats};
 use typeart_rt::TypeartRuntime;
 
-/// Process-wide `CUSAN_SHADOW_TIERED` override, read **once** at first
-/// use: `0`/`false`/`off` forces the flat shadow walk, `1`/`true`/`on`
-/// forces tiering, anything else (or unset) defers to the config. The
-/// `OnceLock` guarantees every rank of a run — and every run in the
-/// process — sees the same shadow configuration even if the environment
-/// is mutated mid-run (e.g. by tests).
-static SHADOW_TIERED_ENV: OnceLock<Option<bool>> = OnceLock::new();
+/// The process-wide `CUSAN_*` overrides of [`ToolConfig`] fields, read
+/// from the environment **once**, at first use, and frozen for the rest
+/// of the process. Every rank of a run — and every run in the process —
+/// sees one configuration even if the environment is mutated mid-run
+/// (e.g. by tests): ranks share barriers, and traces recorded by one
+/// rank are compared byte-for-byte with the others'. A `None` field
+/// defers to the config; a malformed value is ignored with a warning on
+/// stderr rather than aborting — a knob must never make a run *less*
+/// robust.
+#[derive(Debug, Clone, Copy)]
+pub struct EnvOverlay {
+    /// `CUSAN_SHADOW_TIERED`: `0`/`false`/`off` forces the flat shadow
+    /// walk, `1`/`true`/`on` forces tiering.
+    pub shadow_tiered: Option<bool>,
+    /// `CUSAN_SHADOW_ARENA`: `0`/`false`/`off` restores the
+    /// one-boxed-allocation-per-page shadow for A/B benchmarking,
+    /// `1`/`true`/`on` forces the slab arena. Detection results are
+    /// bit-for-bit identical either way, so traces never record this
+    /// knob and replay re-reads it instead.
+    pub shadow_arena: Option<bool>,
+    /// `CUSAN_FAULTS=<seed>:<rate>`: a deterministic fault plan.
+    pub faults: Option<FaultPlan>,
+    /// `CUSAN_BARRIER_TIMEOUT_MS=<n>`: the simulated-MPI barrier poison
+    /// timeout (`0` defers to the config).
+    pub barrier_timeout_ms: Option<u64>,
+    /// `CUSAN_TRACE_FORMAT={text,binary}`: the encoding recording
+    /// [`TraceSink`]s write. Readers always sniff, so this is
+    /// producer-side only.
+    pub trace_format: Option<TraceFormat>,
+}
 
-/// The frozen environment override (see `SHADOW_TIERED_ENV`).
-pub fn shadow_tiered_env() -> Option<bool> {
-    *SHADOW_TIERED_ENV.get_or_init(|| match std::env::var("CUSAN_SHADOW_TIERED").as_deref() {
+static ENV_OVERLAY: OnceLock<EnvOverlay> = OnceLock::new();
+
+/// The frozen environment overlay (see [`EnvOverlay`]).
+pub fn env_overlay() -> &'static EnvOverlay {
+    ENV_OVERLAY.get_or_init(EnvOverlay::from_env)
+}
+
+impl EnvOverlay {
+    fn from_env() -> Self {
+        EnvOverlay {
+            shadow_tiered: env_bool("CUSAN_SHADOW_TIERED"),
+            shadow_arena: env_bool("CUSAN_SHADOW_ARENA"),
+            faults: std::env::var("CUSAN_FAULTS")
+                .ok()
+                .and_then(|v| match FaultPlan::parse(&v) {
+                    Ok(plan) => Some(plan),
+                    Err(e) => {
+                        eprintln!("warning: ignoring CUSAN_FAULTS: {e}");
+                        None
+                    }
+                }),
+            barrier_timeout_ms: env_parsed(
+                "CUSAN_BARRIER_TIMEOUT_MS",
+                "not a positive integer",
+                |v| v.parse::<u64>().ok().filter(|&n| n > 0),
+            ),
+            trace_format: env_parsed(
+                "CUSAN_TRACE_FORMAT",
+                "expected `text` or `binary`",
+                TraceFormat::parse,
+            ),
+        }
+    }
+
+    /// Replace every `config` field this overlay overrides.
+    fn apply(&self, config: &mut ToolConfig) {
+        if let Some(tiered) = self.shadow_tiered {
+            config.shadow_tiered = tiered;
+        }
+        if let Some(arena) = self.shadow_arena {
+            config.shadow_arena = arena;
+        }
+        if let Some(plan) = self.faults {
+            config.faults = plan;
+        }
+        if let Some(ms) = self.barrier_timeout_ms {
+            config.barrier_timeout_ms = Some(ms);
+        }
+        if let Some(format) = self.trace_format {
+            config.trace_format = format;
+        }
+    }
+}
+
+/// A boolean knob: `0`/`false`/`off` or `1`/`true`/`on`; anything else
+/// (or unset) defers to the config.
+fn env_bool(name: &str) -> Option<bool> {
+    match std::env::var(name).as_deref() {
         Ok("0") | Ok("false") | Ok("off") => Some(false),
         Ok("1") | Ok("true") | Ok("on") => Some(true),
         _ => None,
-    })
+    }
 }
 
-/// Process-wide `CUSAN_SHADOW_ARENA` override, frozen on first read like
-/// [`shadow_tiered_env`]: `0`/`false`/`off` restores the one-boxed-
-/// allocation-per-page shadow for A/B benchmarking, `1`/`true`/`on`
-/// forces the slab arena, anything else defers to the config. Detection
-/// results are bit-for-bit identical either way — only allocation
-/// behavior (and the `arena_*` stats) differ — so traces never record
-/// this knob and replay re-reads it instead.
-static SHADOW_ARENA_ENV: OnceLock<Option<bool>> = OnceLock::new();
-
-/// The frozen `CUSAN_SHADOW_ARENA` override (see `SHADOW_ARENA_ENV`).
-pub fn shadow_arena_env() -> Option<bool> {
-    *SHADOW_ARENA_ENV.get_or_init(|| match std::env::var("CUSAN_SHADOW_ARENA").as_deref() {
-        Ok("0") | Ok("false") | Ok("off") => Some(false),
-        Ok("1") | Ok("true") | Ok("on") => Some(true),
-        _ => None,
-    })
-}
-
-/// Process-wide `CUSAN_FAULTS=<seed>:<rate>` override, read **once** at
-/// first use (same freeze semantics as [`shadow_tiered_env`], for the
-/// same reason: every rank must see the same fault plan). A malformed
-/// value is ignored with a warning on stderr rather than aborting — the
-/// knob must never make a run *less* robust.
-static FAULTS_ENV: OnceLock<Option<FaultPlan>> = OnceLock::new();
-
-/// The frozen `CUSAN_FAULTS` override (see `FAULTS_ENV`).
-pub fn faults_env() -> Option<FaultPlan> {
-    *FAULTS_ENV.get_or_init(|| match std::env::var("CUSAN_FAULTS") {
-        Ok(v) => match FaultPlan::parse(&v) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                eprintln!("warning: ignoring CUSAN_FAULTS: {e}");
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// Process-wide `CUSAN_ASYNC_CHECK` override, frozen on first read like
-/// [`shadow_tiered_env`]: `1`/`true`/`on` moves every rank's checking onto
-/// the shared checker pool, `0`/`false`/`off` forces inline checking,
-/// anything else defers to the config. Freezing matters doubly here —
-/// sync and async ranks in one run would still be correct (the modes are
-/// bit-for-bit identical) but the A/B benchmarks rely on a uniform mode.
-static ASYNC_CHECK_ENV: OnceLock<Option<bool>> = OnceLock::new();
-
-/// The frozen `CUSAN_ASYNC_CHECK` override (see `ASYNC_CHECK_ENV`).
-pub fn async_check_env() -> Option<bool> {
-    *ASYNC_CHECK_ENV.get_or_init(|| match std::env::var("CUSAN_ASYNC_CHECK").as_deref() {
-        Ok("0") | Ok("false") | Ok("off") => Some(false),
-        Ok("1") | Ok("true") | Ok("on") => Some(true),
-        _ => None,
-    })
-}
-
-/// Process-wide `CUSAN_CHECK_THREADS=<n>` override for the checker
-/// pool's worker count, frozen on first read like [`async_check_env`]
-/// (the pool is shared process-wide, so a per-rank divergence would be
-/// meaningless anyway). `0`, a malformed value, or unset defers to the
-/// config; only applies in async mode.
-static CHECK_THREADS_ENV: OnceLock<Option<usize>> = OnceLock::new();
-
-/// The frozen `CUSAN_CHECK_THREADS` override (see `CHECK_THREADS_ENV`).
-pub fn check_threads_env() -> Option<usize> {
-    *CHECK_THREADS_ENV.get_or_init(|| match std::env::var("CUSAN_CHECK_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                if !v.trim().is_empty() {
-                    eprintln!(
-                        "warning: ignoring CUSAN_CHECK_THREADS={v:?}: not a positive integer"
-                    );
-                }
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// Process-wide `CUSAN_BARRIER_TIMEOUT_MS=<n>` override for the
-/// simulated-MPI barrier poison timeout, frozen on first read like
-/// [`async_check_env`] (barriers are shared by all ranks of a world, so
-/// per-rank divergence would deadlock the slow side). `0`, a malformed
-/// value, or unset defers to [`ToolConfig::barrier_timeout_ms`].
-static BARRIER_TIMEOUT_ENV: OnceLock<Option<u64>> = OnceLock::new();
-
-/// Process-wide `CUSAN_TRACE_FORMAT={text,binary}` override for the
-/// encoding recording [`TraceSink`]s write, frozen on first read like
-/// [`shadow_tiered_env`] (mixed-format twins within one run would break
-/// the byte-identical determinism assertions the harness makes across
-/// ranks). Readers always sniff, so this is producer-side only; a
-/// malformed value is ignored with a warning.
-static TRACE_FORMAT_ENV: OnceLock<Option<TraceFormat>> = OnceLock::new();
-
-/// The frozen `CUSAN_TRACE_FORMAT` override (see `TRACE_FORMAT_ENV`).
-pub fn trace_format_env() -> Option<TraceFormat> {
-    *TRACE_FORMAT_ENV.get_or_init(|| match std::env::var("CUSAN_TRACE_FORMAT") {
-        Ok(v) => match TraceFormat::parse(v.trim()) {
-            Some(f) => Some(f),
-            None => {
-                if !v.trim().is_empty() {
-                    eprintln!(
-                        "warning: ignoring CUSAN_TRACE_FORMAT={v:?}: expected `text` or `binary`"
-                    );
-                }
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// The frozen `CUSAN_BARRIER_TIMEOUT_MS` override (see
-/// `BARRIER_TIMEOUT_ENV`).
-pub fn barrier_timeout_env() -> Option<u64> {
-    *BARRIER_TIMEOUT_ENV.get_or_init(|| match std::env::var("CUSAN_BARRIER_TIMEOUT_MS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                if !v.trim().is_empty() {
-                    eprintln!(
-                        "warning: ignoring CUSAN_BARRIER_TIMEOUT_MS={v:?}: not a positive integer"
-                    );
-                }
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// Where events are checked: inline on the rank thread (the paper's
-/// model and the default), or on the shared work-stealing checker pool
-/// behind a per-session bounded ring (see [`crate::async_check`]). Both
-/// backends drive the same [`CheckSession`] through
-/// [`CheckSession::apply`], so results are bit-for-bit equal; only the
-/// wall-clock placement of the work differs.
-enum CheckerBackend {
-    // Boxed to keep the two variants' sizes comparable: the session's
-    // runtime is by far the largest piece of per-rank state.
-    Sync(Box<RefCell<CheckSession>>),
-    Async(AsyncChecker),
+/// A knob parsed from its trimmed value; a non-empty value `parse`
+/// rejects is ignored with a warning naming what was `expected`.
+fn env_parsed<T>(name: &str, expected: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    let v = std::env::var(name).ok()?;
+    let parsed = parse(v.trim());
+    if parsed.is_none() && !v.trim().is_empty() {
+        eprintln!("warning: ignoring {name}={v:?}: {expected}");
+    }
+    parsed
 }
 
 /// Shared per-rank tool state. Not `Send`: each rank thread owns its own.
 pub struct ToolCtx {
     /// Active instrumentation configuration.
     pub config: ToolConfig,
-    /// The race detector behind its checking backend.
-    backend: CheckerBackend,
+    /// The race detector, applied inline on every [`Self::emit`].
+    session: RefCell<CheckSession>,
     /// Allocation-type tracking.
     pub typeart: RefCell<TypeartRuntime>,
     strings: RefCell<CtxInterner>,
-    /// Producer-side mirror of fiber numbering (see [`FiberPredictor`]).
-    predictor: RefCell<FiberPredictor>,
     sinks: RefCell<Vec<Box<dyn EventSink>>>,
     counters: RefCell<EventCounters>,
     injector: FaultInjector,
@@ -215,33 +155,10 @@ pub struct ToolCtx {
 }
 
 impl ToolCtx {
-    /// Create the context for one rank. The process-wide frozen
-    /// [`shadow_tiered_env`], [`shadow_arena_env`], [`faults_env`],
-    /// [`async_check_env`], and [`check_threads_env`] overrides, if set,
-    /// replace `config.shadow_tiered` / `config.shadow_arena` /
-    /// `config.faults` / `config.async_check` / `config.check_threads`.
+    /// Create the context for one rank. Every field the frozen
+    /// [`env_overlay`] sets replaces the corresponding `config` field.
     pub fn new(rank: usize, mut config: ToolConfig) -> Self {
-        if let Some(tiered) = shadow_tiered_env() {
-            config.shadow_tiered = tiered;
-        }
-        if let Some(arena) = shadow_arena_env() {
-            config.shadow_arena = arena;
-        }
-        if let Some(plan) = faults_env() {
-            config.faults = plan;
-        }
-        if let Some(async_check) = async_check_env() {
-            config.async_check = async_check;
-        }
-        if let Some(threads) = check_threads_env() {
-            config.check_threads = Some(threads);
-        }
-        if let Some(ms) = barrier_timeout_env() {
-            config.barrier_timeout_ms = Some(ms);
-        }
-        if let Some(format) = trace_format_env() {
-            config.trace_format = format;
-        }
+        env_overlay().apply(&mut config);
         let mut tsan = TsanRuntime::with_options(
             &format!("host (rank {rank})"),
             config.shadow_tiered,
@@ -249,18 +166,11 @@ impl ToolCtx {
             true,
         );
         tsan.set_shadow_page_budget(config.shadow_page_budget);
-        let session = CheckSession::from_runtime(rank, tsan);
-        let backend = if config.async_check {
-            CheckerBackend::Async(AsyncChecker::new(session, config.check_threads))
-        } else {
-            CheckerBackend::Sync(Box::new(RefCell::new(session)))
-        };
         ToolCtx {
             config,
-            backend,
+            session: RefCell::new(CheckSession::from_runtime(rank, tsan)),
             typeart: RefCell::new(TypeartRuntime::new()),
             strings: RefCell::new(CtxInterner::new()),
-            predictor: RefCell::new(FiberPredictor::new()),
             sinks: RefCell::new(Vec::new()),
             counters: RefCell::new(EventCounters::default()),
             injector: FaultInjector::new(config.faults),
@@ -270,53 +180,16 @@ impl ToolCtx {
         }
     }
 
-    /// Run `f` with shared access to the detector. In async mode this
-    /// first flushes the event queue, so readers always observe a state
-    /// that reflects every event emitted so far — same as sync mode.
+    /// Run `f` with shared access to the detector.
     fn with_tsan<R>(&self, f: impl FnOnce(&TsanRuntime) -> R) -> R {
-        match &self.backend {
-            CheckerBackend::Sync(session) => f(session.borrow().runtime()),
-            CheckerBackend::Async(ac) => ac.with_runtime(|rt| f(rt)),
-        }
-    }
-
-    /// Run `f` with exclusive access to the detector (flushes first in
-    /// async mode, like [`Self::with_tsan`]).
-    fn with_tsan_mut<R>(&self, f: impl FnOnce(&mut TsanRuntime) -> R) -> R {
-        match &self.backend {
-            CheckerBackend::Sync(session) => f(session.borrow_mut().runtime_mut()),
-            CheckerBackend::Async(ac) => ac.with_runtime(f),
-        }
+        f(self.session.borrow().runtime())
     }
 
     /// Snapshot the owned [`CheckSession`]'s summary — the same
     /// reports/stats/counters object trace replay and the serve path
     /// produce, so live runs can be compared against them wholesale.
-    /// Flushes first in async mode, like every accessor.
     pub fn session_summary(&self) -> SessionSummary {
-        match &self.backend {
-            CheckerBackend::Sync(session) => session.borrow().summary(),
-            CheckerBackend::Async(ac) => ac.with_session(|s| s.summary()),
-        }
-    }
-
-    /// Barrier: in async mode, wait until the checker pool has applied
-    /// every event emitted so far. No-op in sync mode. Harness flush
-    /// points call this before collecting outcomes so `RankOutcome`,
-    /// `race_count`, and the Table-I snapshot observe a drained queue
-    /// (individual accessors also flush, making direct reads safe too).
-    pub fn flush_checker(&self) {
-        if let CheckerBackend::Async(ac) = &self.backend {
-            ac.flush();
-        }
-    }
-
-    /// Observability counters of the async backend (`None` in sync mode).
-    pub fn async_check_stats(&self) -> Option<AsyncCheckStats> {
-        match &self.backend {
-            CheckerBackend::Sync { .. } => None,
-            CheckerBackend::Async(ac) => Some(ac.stats()),
-        }
+        self.session.borrow().summary()
     }
 
     /// The rank this context belongs to.
@@ -336,19 +209,13 @@ impl ToolCtx {
     /// Intern a label (context, fiber name, counter name) in the rank's
     /// shared string table. A *fresh* label is also forwarded to the
     /// owned session's mirror table, in intern order, so it assigns the
-    /// same dense id before any event references it — inline in sync
-    /// mode, via an in-order ring message in async mode.
+    /// same dense id before any event references it.
     pub fn intern_label(&self, label: &str) -> StrId {
         let mut strings = self.strings.borrow_mut();
         let before = strings.len();
         let id = strings.intern(label);
         if strings.len() > before {
-            match &self.backend {
-                CheckerBackend::Sync(session) => {
-                    session.borrow_mut().intern(label);
-                }
-                CheckerBackend::Async(ac) => ac.send_intern(label),
-            }
+            self.session.borrow_mut().intern(label);
         }
         id
     }
@@ -359,19 +226,10 @@ impl ToolCtx {
     }
 
     /// Push one event through the pipeline: checker first (detection),
-    /// then counters, then installed sinks in install order. With the
-    /// async backend the checker stage *enqueues* instead of applying —
-    /// counters and sinks still observe on the producer side, from the
-    /// same totally-ordered stream, so traces and counter snapshots are
-    /// byte-identical across backends (a sink may merely observe an event
-    /// the detector has not applied yet).
+    /// then counters, then installed sinks in install order.
     pub fn emit(&self, ev: CusanEvent) {
         let strings = self.strings.borrow();
-        match &self.backend {
-            CheckerBackend::Sync(session) => session.borrow_mut().apply(&ev),
-            CheckerBackend::Async(ac) => ac.send_event(ev),
-        }
-        self.predictor.borrow_mut().observe(&ev);
+        self.session.borrow_mut().apply(&ev);
         self.counters.borrow_mut().observe(&ev, &strings);
         for sink in self.sinks.borrow_mut().iter_mut() {
             sink.on_event(&ev, &strings);
@@ -379,11 +237,11 @@ impl ToolCtx {
     }
 
     /// Emit a [`CusanEvent::FiberCreate`] for a fresh fiber and return its
-    /// id. The id comes from the producer-side [`FiberPredictor`] (the
-    /// detector may lag behind in async mode), and the checker asserts it
-    /// matches the runtime's numbering when the event is applied.
+    /// id, peeked from the detector ([`TsanRuntime::peek_next_fiber`]);
+    /// the checker asserts the runtime assigns that id when it applies
+    /// the event.
     pub fn emit_fiber_create(&self, name: &str) -> FiberId {
-        let fiber = self.predictor.borrow().peek();
+        let fiber = self.with_tsan(|t| t.peek_next_fiber());
         let name = self.intern_label(name);
         self.emit(CusanEvent::FiberCreate { fiber, name });
         fiber
@@ -412,8 +270,7 @@ impl ToolCtx {
 
     /// Declare the event stream complete: every installed sink's
     /// [`EventSink::finish`] runs (sealing recorded traces). Idempotent;
-    /// harness flush points call it right after [`Self::flush_checker`],
-    /// before collecting outcomes.
+    /// harness flush points call it before collecting outcomes.
     pub fn finish_sinks(&self) {
         for sink in self.sinks.borrow_mut().iter_mut() {
             sink.finish();
@@ -549,19 +406,14 @@ impl ToolCtx {
     pub fn load_suppressions(&self, text: &str) -> Result<usize, String> {
         let sup = tsan_rt::report::Suppressions::parse(text)?;
         let n = sup.len();
-        self.with_tsan_mut(|t| {
-            for p in sup.patterns() {
-                t.add_suppression(p);
-            }
-        });
+        let mut session = self.session.borrow_mut();
+        for p in sup.patterns() {
+            session.runtime_mut().add_suppression(p);
+        }
         Ok(n)
     }
 
     // ---- results ------------------------------------------------------------
-    //
-    // Every accessor goes through the backend, which in async mode
-    // flushes the event queue first: reads always observe the fully
-    // drained detector state, exactly as if checking had been inline.
 
     /// Race reports collected so far.
     pub fn race_reports(&self) -> Vec<RaceReport> {
@@ -751,62 +603,28 @@ mod tests {
     }
 
     #[test]
-    fn async_backend_matches_sync_through_toolctx() {
-        // The same emit sequence through both backends must land on a
-        // bit-for-bit identical detector (races, stats, counters) — the
-        // tentpole invariant, here at the ToolCtx level.
-        let drive = |async_check: bool| {
-            let mut config = Flavor::Cusan.config();
-            config.async_check = async_check;
-            let ctx = ToolCtx::new(0, config);
-            let f = ctx.emit_fiber_create("cuda stream 1");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: f,
-                sync: true,
-            });
-            ctx.annotate_host_write(Ptr(0x2000), 256, "kernel write");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: FiberId::HOST,
-                sync: false,
-            });
-            ctx.annotate_host_read(Ptr(0x2000), 256, "host read");
-            (ctx.race_reports(), ctx.tsan_stats(), ctx.event_counters())
-        };
-        let sync = drive(false);
-        let asyn = drive(true);
-        assert_eq!(sync, asyn);
-        assert_eq!(sync.0.len(), 1, "the Fig. 6B race fires in both modes");
-    }
-
-    #[test]
-    fn session_summary_is_backend_invariant() {
+    fn session_summary_mirrors_the_counter_sink() {
         // The owned session's wholesale summary — the object the serve
-        // path emits — must be identical across backends, and its
-        // counters must agree with the producer-side counter sink.
-        let drive = |async_check: bool| {
-            let mut config = Flavor::Cusan.config();
-            config.async_check = async_check;
-            let ctx = ToolCtx::new(0, config);
-            let f = ctx.emit_fiber_create("cuda stream 1");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: f,
-                sync: true,
-            });
-            ctx.annotate_host_write(Ptr(0x3000), 128, "kernel write");
-            ctx.emit(CusanEvent::FiberSwitch {
-                fiber: FiberId::HOST,
-                sync: false,
-            });
-            ctx.annotate_host_read(Ptr(0x3000), 128, "host read");
-            (ctx.session_summary(), ctx.event_counters())
-        };
-        let (sync_sum, sync_counters) = drive(false);
-        let (async_sum, _) = drive(true);
-        assert_eq!(sync_sum, async_sum);
-        assert_eq!(sync_sum.rank, 0);
-        assert_eq!(sync_sum.race_count, 1);
+        // path emits — must agree with the producer-side counter sink.
+        let ctx = ToolCtx::new(0, Flavor::Cusan.config());
+        let f = ctx.emit_fiber_create("cuda stream 1");
+        ctx.emit(CusanEvent::FiberSwitch {
+            fiber: f,
+            sync: true,
+        });
+        ctx.annotate_host_write(Ptr(0x3000), 128, "kernel write");
+        ctx.emit(CusanEvent::FiberSwitch {
+            fiber: FiberId::HOST,
+            sync: false,
+        });
+        ctx.annotate_host_read(Ptr(0x3000), 128, "host read");
+        let summary = ctx.session_summary();
+        assert_eq!(summary.rank, 0);
+        assert_eq!(summary.race_count, 1, "the Fig. 6B race fires");
+        assert_eq!(summary.reports, ctx.race_reports());
         assert_eq!(
-            sync_sum.counters, sync_counters,
+            summary.counters,
+            ctx.event_counters(),
             "session counters mirror the producer-side sink"
         );
     }
@@ -816,9 +634,13 @@ mod tests {
         // Same freeze semantics as every other knob: the first read wins
         // for the whole process, so all ranks (sharing one barrier) see
         // one timeout.
-        let frozen = barrier_timeout_env();
+        let frozen = env_overlay().barrier_timeout_ms;
         std::env::set_var("CUSAN_BARRIER_TIMEOUT_MS", "12345");
-        assert_eq!(barrier_timeout_env(), frozen, "env re-read after freeze");
+        assert_eq!(
+            env_overlay().barrier_timeout_ms,
+            frozen,
+            "env re-read after freeze"
+        );
         std::env::remove_var("CUSAN_BARRIER_TIMEOUT_MS");
 
         // The config field flows into the context (unless the frozen env
@@ -832,45 +654,14 @@ mod tests {
     }
 
     #[test]
-    fn async_stats_surface_only_in_async_mode() {
-        // A frozen CUSAN_ASYNC_CHECK override beats the config field (the
-        // CI async-check-smoke job runs this whole suite with it set), so
-        // mode-specific assertions only hold for the unforced mode.
-        let forced = async_check_env();
-        if forced.is_none() {
-            let sync_ctx = ToolCtx::new(0, Flavor::Cusan.config());
-            assert_eq!(sync_ctx.async_check_stats(), None);
-            sync_ctx.flush_checker(); // no-op, must not panic
-        }
-        if forced == Some(false) {
-            return; // env forces inline checking; no async backend to probe
-        }
-        let mut config = Flavor::Cusan.config();
-        config.async_check = true;
-        let ctx = ToolCtx::new(0, config);
-        let f = ctx.emit_fiber_create("s");
-        ctx.emit(CusanEvent::FiberSwitch {
-            fiber: f,
-            sync: true,
-        });
-        ctx.flush_checker();
-        let stats = ctx.async_check_stats().expect("async backend active");
-        // FiberCreate + FiberSwitch; the fiber-name intern message is
-        // counted as a message but not as an event.
-        assert_eq!(stats.events_enqueued, 2);
-        assert!(stats.batches_applied >= 1);
-        assert!(stats.max_queue_depth >= 1);
-    }
-
-    #[test]
     fn faults_env_is_frozen_process_wide() {
         // Mirrors shadow_tiered_env_is_frozen_process_wide: the first
         // read wins for the whole process, so every rank (and every
         // re-run in one process) sees one plan.
-        let frozen = faults_env();
+        let frozen = env_overlay().faults;
         let a = ToolCtx::new(0, Flavor::MustCusan.config());
         std::env::set_var("CUSAN_FAULTS", "123:0.5");
-        assert_eq!(faults_env(), frozen, "env re-read after freeze");
+        assert_eq!(env_overlay().faults, frozen, "env re-read after freeze");
         let b = ToolCtx::new(1, Flavor::MustCusan.config());
         assert_eq!(a.fault_plan(), b.fault_plan());
         std::env::remove_var("CUSAN_FAULTS");
@@ -883,13 +674,17 @@ mod tests {
         // The first read (whenever it happened in this test process) is
         // the value every ToolCtx sees; mutating the environment
         // afterwards must NOT give later ranks a divergent shadow config.
-        let frozen = shadow_tiered_env();
+        let frozen = env_overlay().shadow_tiered;
         let a = ToolCtx::new(0, Flavor::Cusan.config());
         std::env::set_var(
             "CUSAN_SHADOW_TIERED",
             if a.config.shadow_tiered { "0" } else { "1" },
         );
-        assert_eq!(shadow_tiered_env(), frozen, "env re-read after freeze");
+        assert_eq!(
+            env_overlay().shadow_tiered,
+            frozen,
+            "env re-read after freeze"
+        );
         let b = ToolCtx::new(1, Flavor::Cusan.config());
         assert_eq!(a.config.shadow_tiered, b.config.shadow_tiered);
         assert_eq!(a.shadow_tiering_enabled(), b.shadow_tiering_enabled());

@@ -35,7 +35,6 @@
 //! [`ToolConfig`] / [`Flavor`] and shared via [`ToolCtx`].
 
 pub mod api;
-pub mod async_check;
 pub mod binio;
 pub mod config;
 pub mod ctx;
@@ -46,12 +45,9 @@ pub mod session;
 pub mod trace;
 
 pub use api::CusanCuda;
-pub use async_check::{effective_workers, AsyncCheckStats, AsyncChecker, CheckerPool};
 pub use config::{Flavor, ToolConfig};
 pub use ctx::ToolCtx;
-pub use event::{
-    CheckerSink, CtxInterner, CusanEvent, EventCounters, EventSink, FiberPredictor, StrId,
-};
+pub use event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, EventSink, StrId};
 pub use fault::{FaultInjector, FaultPlan, NetFault};
 pub use session::{CheckSession, SessionOptions, SessionSummary};
 pub use trace::{

@@ -8,19 +8,20 @@
 //! sessions today:
 //!
 //! - **Live instrumentation** — [`crate::ToolCtx`] owns one session per
-//!   rank (inline in sync mode, behind the [`crate::CheckerPool`] in
-//!   async mode) and feeds it the events its CUDA/MPI layers emit.
+//!   rank and applies the events its CUDA/MPI layers emit inline, on the
+//!   rank thread.
 //! - **Offline replay** — [`crate::trace::replay`] builds a session from
 //!   a trace header and streams the recorded events through it.
-//! - **The serve path** — `cusan-serve` multiplexes thousands of
-//!   sessions over one pool, one per uploaded trace shard stream.
+//! - **The serve path** — `cusan-serve` holds one session per uploaded
+//!   trace stream and applies its events on the connection thread that
+//!   received them.
 //!
 //! All three share [`CheckSession::apply`], which is what makes replayed
 //! and served results bit-for-bit identical to live runs.
 
 use std::sync::Arc;
 
-use crate::ctx::shadow_arena_env;
+use crate::ctx::env_overlay;
 use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, StrId};
 use tsan_rt::{
     CtxId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime, TsanStats,
@@ -57,7 +58,7 @@ impl SessionOptions {
         SessionOptions {
             rank,
             shadow_tiered: true,
-            shadow_arena: shadow_arena_env().unwrap_or(true),
+            shadow_arena: env_overlay().shadow_arena.unwrap_or(true),
             shadow_page_budget: None,
         }
     }
@@ -71,7 +72,7 @@ impl SessionOptions {
         SessionOptions {
             rank,
             shadow_tiered: tiered,
-            shadow_arena: shadow_arena_env().unwrap_or(true),
+            shadow_arena: env_overlay().shadow_arena.unwrap_or(true),
             shadow_page_budget: budget,
         }
     }
@@ -149,8 +150,8 @@ impl CheckSession {
     }
 
     /// Apply one event: detector first, then the session counters. This
-    /// is the one apply path shared by live sync, the async pool, trace
-    /// replay, and serve.
+    /// is the one apply path shared by live checking, trace replay, and
+    /// serve.
     pub fn apply(&mut self, ev: &CusanEvent) {
         self.checker.apply(ev, &self.strings, &mut self.rt);
         self.counters.observe(ev, &self.strings);

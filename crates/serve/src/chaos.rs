@@ -34,7 +34,7 @@ use cusan::{FaultInjector, FaultPlan};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -56,8 +56,6 @@ pub struct ChaosOptions {
     /// Live-session shadow budget; small values force spill/restore of
     /// mid-trace sessions on every disconnect.
     pub live_page_budget: Option<usize>,
-    /// Checker-pool worker override.
-    pub check_threads: Option<usize>,
 }
 
 impl Default for ChaosOptions {
@@ -67,7 +65,6 @@ impl Default for ChaosOptions {
             restart_rate: 0.25,
             chunk: 512,
             live_page_budget: Some(0),
-            check_threads: None,
         }
     }
 }
@@ -214,7 +211,15 @@ pub fn chaos_serve(
     corpus: &[(u64, Vec<u8>)],
     opts: &ChaosOptions,
 ) -> Result<ChaosReport, String> {
-    let spill_dir = std::env::temp_dir().join(format!("cusan-chaos-{}-{seed}", std::process::id()));
+    // Unique per call, not just per seed: concurrent scenarios in one
+    // process (parallel tests sweeping the same seeds) must never read
+    // each other's journals.
+    static SCENARIO: AtomicU64 = AtomicU64::new(0);
+    let spill_dir = std::env::temp_dir().join(format!(
+        "cusan-chaos-{}-{seed}-{}",
+        std::process::id(),
+        SCENARIO.fetch_add(1, Ordering::Relaxed)
+    ));
     let result = run_scenario(seed, corpus, opts, spill_dir.clone());
     let _ = std::fs::remove_dir_all(&spill_dir);
     result
@@ -234,7 +239,6 @@ fn run_scenario(
         expected.push(summary_to_json(*id, &summary));
     }
     let config = EngineConfig {
-        check_threads: opts.check_threads,
         live_page_budget: opts.live_page_budget,
         spill_dir: Some(spill_dir),
         // Expiry is exercised by its own unit tests; racing a timer
@@ -315,4 +319,32 @@ fn run_scenario(
         restarts,
         stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn concurrent_same_seed_scenarios_hold_the_oracle() {
+        // Two scenarios with the same seed at once: each must journal
+        // and spill into its own directory, or one restart recovers the
+        // other's sessions and the summaries diverge.
+        let golden = include_str!("../../../tests/data/tealeaf_small.trace");
+        let corpus: Vec<(u64, Vec<u8>)> = (0..2).map(|id| (id, golden.into())).collect();
+        let opts = ChaosOptions {
+            fault_rate: 0.1,
+            restart_rate: 0.5,
+            ..ChaosOptions::default()
+        };
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| chaos_serve(3, &corpus, &opts)))
+                .collect();
+            for run in runs {
+                let report = run.join().expect("scenario thread").expect("oracle holds");
+                assert_eq!(report.sessions, corpus.len());
+            }
+        });
+    }
 }

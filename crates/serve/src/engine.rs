@@ -1,14 +1,26 @@
-//! The serve engine: one checker pool, many sessions, one shadow budget.
+//! The serve engine: many sessions, one shadow budget.
 //!
 //! [`ServeEngine`] owns the process-wide pieces every served session
-//! shares — a private [`CheckerPool`], the [`SharedLabels`]
-//! canonicalization table, the global shadow-page accounting, and (since
-//! the crash-safety work) the **live-session registry**: sessions belong
+//! shares — the [`SharedLabels`] canonicalization table, the global
+//! shadow-page accounting, and the **live-session registry**: sessions belong
 //! to the engine, not to the connection that opened them. A connection
 //! *attaches* to a session (`O`/`R` frames) and *detaches* when it ends;
 //! the session itself survives until it is closed (`C`), swept as idle,
 //! or the process dies — and with a spill directory configured, even
 //! process death is survivable.
+//!
+//! ## Inline checking
+//!
+//! There is no checker thread: [`ServeEngine::feed`] and
+//! [`ServeEngine::close`] apply a session's records on the calling
+//! connection thread, under that session's lock, so concurrent sessions
+//! check on their own connections' threads and one session's records
+//! are applied in stream order. A detector panic (a corrupt but
+//! well-framed trace, e.g. one that switches to a destroyed fiber) is
+//! caught there and fails only its own session: the client gets an `E`
+//! reply, the session is dropped with its journal and spill files, and
+//! its id is retired — a later `O` or `R` for it is refused rather than
+//! replaying the same poison again.
 //!
 //! ## The global budget (finished sessions)
 //!
@@ -47,11 +59,12 @@
 
 use crate::ingest::SessionIngest;
 use crate::labels::SharedLabels;
-use cusan::{CheckSession, CheckerPool, SessionSummary};
+use cusan::{CheckSession, SessionSummary};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs;
 use std::io::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -68,9 +81,6 @@ const SPILL_VERSION: u32 = 2;
 /// Engine-wide configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Explicit checker-pool worker count (`None`: size from hardware,
-    /// exactly like [`cusan::ToolConfig::check_threads`]).
-    pub check_threads: Option<usize>,
     /// Global cap on shadow pages retained across *finished* sessions
     /// (`None`: retain everything).
     pub global_page_budget: Option<usize>,
@@ -134,7 +144,8 @@ pub enum FeedError {
         /// Offset the rejected frame started at.
         got: u64,
     },
-    /// Parse/protocol failure; the session has been dropped.
+    /// Parse/protocol failure or detector panic; the session has been
+    /// dropped.
     Fatal(String),
 }
 
@@ -158,6 +169,9 @@ pub enum AttachError {
     AlreadyOpen,
     /// The server is at `max_sessions` capacity.
     AtCapacity,
+    /// The id belonged to a session that failed (malformed trace or
+    /// detector panic); failed ids are never reopened.
+    Failed,
 }
 
 impl std::fmt::Display for AttachError {
@@ -165,6 +179,7 @@ impl std::fmt::Display for AttachError {
         match self {
             AttachError::AlreadyOpen => f.write_str("session id already open"),
             AttachError::AtCapacity => f.write_str("server at session capacity"),
+            AttachError::Failed => f.write_str("session failed and cannot be resumed"),
         }
     }
 }
@@ -173,7 +188,7 @@ impl std::error::Error for AttachError {}
 
 /// Where a live session's state currently is.
 enum LiveState {
-    /// In memory, registered with the checker pool.
+    /// In memory.
     Resident(Box<SessionIngest>),
     /// On disk (spilled under pressure, or journaled by a previous
     /// process); the next frame restores it.
@@ -191,12 +206,9 @@ struct LiveSession {
     last_touch: Instant,
 }
 
-/// A finished session retained for its warm shadow pages. The checker
-/// handle was dropped before the entry was created, so nothing but the
-/// engine can be holding the session lock — eviction never contends
-/// with a pool worker.
+/// A finished session retained for its warm shadow pages.
 struct Retained {
-    handle: Arc<Mutex<CheckSession>>,
+    session: CheckSession,
     pages: usize,
 }
 
@@ -215,17 +227,21 @@ struct EngineState {
     sessions_expired: u64,
     duplicate_bytes_dropped: u64,
     summaries: Vec<SessionSummary>,
+    /// Ids of failed sessions, refused by `open_new`/`resume`. Only
+    /// touched under the registry lock, so a failure and a racing
+    /// attach are ordered.
+    failed: HashSet<u64>,
 }
 
 /// Shared state of one `cusan-serve` process (see the module docs).
 pub struct ServeEngine {
-    pool: Arc<CheckerPool>,
     config: EngineConfig,
     labels: SharedLabels,
     state: Mutex<EngineState>,
     /// The live-session registry. Per-session mutexes keep one slow
-    /// session's feed from serializing every other connection; the
-    /// outer lock covers only map shape changes and lookups.
+    /// session's feed (which applies its records inline) from
+    /// serializing every other connection; the outer lock covers only
+    /// map shape changes and lookups.
     live: Mutex<HashMap<u64, Arc<Mutex<LiveSession>>>>,
     /// Self-reference so `&self` methods can hand fresh ingests the
     /// `Arc` they hold (engines only exist inside an `Arc`).
@@ -233,15 +249,13 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Engine with a private checker pool (never the global one: a serve
-    /// process pins its own worker policy).
+    /// Fresh engine with no sessions.
     pub fn new(config: EngineConfig) -> Arc<ServeEngine> {
         if let Some(dir) = &config.spill_dir {
             // Best-effort: feed/spill report real errors with context.
             let _ = fs::create_dir_all(dir);
         }
         Arc::new_cyclic(|me| ServeEngine {
-            pool: CheckerPool::new(),
             config,
             labels: SharedLabels::new(),
             state: Mutex::new(EngineState::default()),
@@ -289,11 +303,6 @@ impl ServeEngine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The shared checker pool sessions register with.
-    pub fn pool(&self) -> &Arc<CheckerPool> {
-        &self.pool
     }
 
     /// The cross-session label table.
@@ -347,6 +356,9 @@ impl ServeEngine {
         live: &mut HashMap<u64, Arc<Mutex<LiveSession>>>,
         id: u64,
     ) -> Result<(), AttachError> {
+        if self.state.lock().failed.contains(&id) {
+            return Err(AttachError::Failed);
+        }
         if self
             .config
             .max_sessions
@@ -451,29 +463,37 @@ impl ServeEngine {
                 got: offset,
             });
         };
-        self.ensure_resident(id, &mut s).map_err(FeedError::Fatal)?;
-        // Journal before feeding: a byte must never be acked (and thus
-        // skipped by a resuming client) unless a restarted server can
-        // re-derive it from disk.
-        if let Some(path) = self.journal_path(id) {
-            fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(chunk))
-                .map_err(|e| FeedError::Fatal(format!("journal {}: {e}", path.display())))?;
-        }
-        let LiveState::Resident(ingest) = &mut s.state else {
-            unreachable!("ensure_resident restored the session");
-        };
-        match ingest.feed(chunk) {
-            Ok(()) => {
+        // Restoring replays journaled bytes, so it applies records too
+        // and sits under the same panic guard as the feed itself.
+        let applied = contain(|| {
+            self.ensure_resident(id, &mut s).map_err(FeedError::Fatal)?;
+            // Journal before feeding: a byte must never be acked (and
+            // thus skipped by a resuming client) unless a restarted
+            // server can re-derive it from disk.
+            if let Some(path) = self.journal_path(id) {
+                fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)
+                    .and_then(|mut f| f.write_all(chunk))
+                    .map_err(|e| FeedError::Fatal(format!("journal {}: {e}", path.display())))?;
+            }
+            let LiveState::Resident(ingest) = &mut s.state else {
+                unreachable!("ensure_resident restored the session");
+            };
+            Ok(ingest.feed(chunk))
+        });
+        match applied {
+            Ok(Ok(Ok(()))) => {
                 s.acked += chunk.len() as u64;
                 Ok(s.acked)
             }
-            Err(e) => {
+            // Restore and journal failures leave the session registered.
+            Ok(Err(e)) => Err(e),
+            // A malformed record or a detector panic kills the session.
+            Ok(Ok(Err(e))) | Err(e) => {
                 drop(s);
-                self.drop_session(id);
+                self.fail_session(id);
                 Err(FeedError::Fatal(e))
             }
         }
@@ -487,14 +507,20 @@ impl ServeEngine {
             live.remove(&id).ok_or("session not open")?
         };
         let mut s = sess.lock();
-        self.ensure_resident(id, &mut s)?;
-        let state = std::mem::replace(&mut s.state, LiveState::Spilled);
+        let closed = contain(|| {
+            self.ensure_resident(id, &mut s)?;
+            let LiveState::Resident(ingest) = std::mem::replace(&mut s.state, LiveState::Spilled)
+            else {
+                unreachable!("ensure_resident restored the session");
+            };
+            ingest.finish()
+        });
         drop(s);
         self.remove_disk_state(id);
-        let LiveState::Resident(ingest) = state else {
-            unreachable!("ensure_resident restored the session");
-        };
-        ingest.finish()
+        closed.unwrap_or_else(|e| {
+            self.fail_session(id);
+            Err(e)
+        })
     }
 
     /// Detach one connection from session `id` (connection end, clean or
@@ -674,9 +700,13 @@ impl ServeEngine {
         n
     }
 
-    /// Drop a session without finishing it (fatal feed errors).
-    fn drop_session(&self, id: u64) {
-        self.live.lock().remove(&id);
+    /// Drop a session without finishing it and retire its id (fatal
+    /// feed errors and detector panics).
+    fn fail_session(&self, id: u64) {
+        let mut live = self.live.lock();
+        live.remove(&id);
+        self.state.lock().failed.insert(id);
+        drop(live);
         self.remove_disk_state(id);
     }
 
@@ -688,25 +718,20 @@ impl ServeEngine {
 
     /// Hand a finished session to the engine: record its summary, retain
     /// its shadow pages, and enforce the global budget by evicting the
-    /// oldest retained sessions first. `handle` must no longer have a
-    /// registered checker (the ingest drops it first).
-    pub(crate) fn finish_session(
-        &self,
-        handle: Arc<Mutex<CheckSession>>,
-        pages: usize,
-        summary: &SessionSummary,
-    ) {
+    /// oldest retained sessions first.
+    pub(crate) fn finish_session(&self, session: CheckSession, summary: &SessionSummary) {
+        let pages = session.shadow_pages();
         let mut st = self.state.lock();
         st.sessions_finished += 1;
         st.summaries.push(summary.clone());
         st.resident_pages += pages;
-        st.retained.push_back(Retained { handle, pages });
+        st.retained.push_back(Retained { session, pages });
         if let Some(budget) = self.config.global_page_budget {
             while st.resident_pages > budget {
-                let Some(oldest) = st.retained.pop_front() else {
+                let Some(mut oldest) = st.retained.pop_front() else {
                     break;
                 };
-                let evicted = oldest.handle.lock().evict_shadow();
+                let evicted = oldest.session.evict_shadow();
                 st.resident_pages -= oldest.pages;
                 st.sessions_evicted += 1;
                 st.shadow_pages_evicted += evicted as u64;
@@ -739,6 +764,20 @@ impl ServeEngine {
     pub fn summaries(&self) -> Vec<SessionSummary> {
         self.state.lock().summaries.clone()
     }
+}
+
+/// Run `f`, turning a panic into an error message. The serve path's
+/// only defence against detector assertions on hostile traces: the
+/// caller drops the session the panic left half-applied.
+fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        format!("checker panicked: {msg}")
+    })
 }
 
 fn encode_spill_file(acked: u64, ingest_blob: &[u8]) -> Vec<u8> {

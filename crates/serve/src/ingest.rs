@@ -4,22 +4,24 @@
 //! socket's `DATA` frames, a file read in chunks — any framing) into a
 //! checked session: it frames *records* — text lines or binary
 //! length-delimited frames, sniffed from the magic — with
-//! [`cusan::TracePushParser`] and feeds them to an
-//! [`cusan::AsyncChecker`] registered with the engine's shared pool.
-//! Chunk boundaries are arbitrary (mid-line, mid-varint, mid-code-point
-//! splits are all fine). String-table entries are canonicalized through
-//! the engine's [`crate::SharedLabels`] before mirroring, so concurrent
-//! sessions share label allocations instead of copying them.
+//! [`cusan::TracePushParser`] and applies each one to the
+//! [`cusan::CheckSession`] it owns, inline, on the thread that fed the
+//! chunk. Chunk boundaries are arbitrary (mid-line, mid-varint,
+//! mid-code-point splits are all fine). String-table entries are
+//! canonicalized through the engine's [`crate::SharedLabels`] before
+//! mirroring, so concurrent sessions share label allocations instead of
+//! copying them.
 //!
 //! The apply path is [`cusan::CheckSession::apply`] — the same one live
 //! instrumentation and offline replay use — which is what makes a
-//! served session's summary bit-for-bit identical to a solo sync replay
-//! of the same trace, at any worker count and in either trace format.
+//! served session's summary bit-for-bit identical to a solo replay of
+//! the same trace, in either trace format. The engine serializes feeds
+//! to one session under that session's lock, so an ingest never needs
+//! a lock of its own.
 
 use crate::engine::ServeEngine;
 use cusan::{
-    AsyncChecker, CheckSession, SessionOptions, SessionSummary, TraceItem, TracePushParser,
-    TraceRecord,
+    CheckSession, SessionOptions, SessionSummary, TraceItem, TracePushParser, TraceRecord,
 };
 use std::sync::Arc;
 use tsan_rt::{SnapshotReader, SnapshotWriter};
@@ -28,9 +30,9 @@ enum IngestState {
     /// Nothing decoded yet: the parser is still sniffing/expecting the
     /// header record.
     AwaitHeader,
-    /// Header accepted; body records stream into the checker.
-    Body { checker: AsyncChecker },
-    /// `finish` consumed the checker (or a feed failed fatally).
+    /// Header accepted; body records are applied to the session.
+    Body { session: Box<CheckSession> },
+    /// `finish` consumed the session (or a feed failed fatally).
     Done,
 }
 
@@ -66,7 +68,7 @@ impl SessionIngest {
         self.pump()
     }
 
-    /// Drain every complete record the parser holds into the checker.
+    /// Apply every complete record the parser holds to the session.
     fn pump(&mut self) -> Result<(), String> {
         loop {
             let item = match self.parser.poll() {
@@ -85,16 +87,13 @@ impl SessionIngest {
                         header.tiered,
                         header.budget,
                     ));
-                    let checker = AsyncChecker::with_pool(
-                        Arc::clone(self.engine.pool()),
-                        session,
-                        self.engine.config().check_threads,
-                    );
                     self.engine.note_open();
-                    self.state = IngestState::Body { checker };
+                    self.state = IngestState::Body {
+                        session: Box::new(session),
+                    };
                 }
                 TraceItem::Record(rec) => {
-                    let IngestState::Body { checker } = &self.state else {
+                    let IngestState::Body { session } = &mut self.state else {
                         unreachable!("parser yields records only after the header");
                     };
                     match rec {
@@ -102,9 +101,9 @@ impl SessionIngest {
                             // Mirror the canonical allocation, not the
                             // parser's private one: concurrent sessions
                             // of the same app share label bytes.
-                            checker.send_intern_shared(self.engine.labels().canon(&label));
+                            session.intern_shared(&self.engine.labels().canon(&label));
                         }
-                        TraceRecord::Event(ev) => checker.send_event(ev),
+                        TraceRecord::Event(ev) => session.apply(&ev),
                     }
                 }
             }
@@ -112,11 +111,10 @@ impl SessionIngest {
     }
 
     /// Resident shadow pages of the session under check (0 before the
-    /// header arrives). Drains the checker first so the answer reflects
-    /// every byte fed — budget decisions made on it are deterministic.
+    /// header arrives).
     pub fn resident_pages(&self) -> usize {
         match &self.state {
-            IngestState::Body { checker } => checker.with_session(|s| s.shadow_pages()),
+            IngestState::Body { session } => session.shadow_pages(),
             _ => 0,
         }
     }
@@ -124,11 +122,10 @@ impl SessionIngest {
     /// Spill this *unfinished* ingest to a compact byte blob: the full
     /// detector state ([`CheckSession::snapshot_bytes`]) plus the
     /// parser's complete mid-stream state (pending bytes, string table,
-    /// position, binary delta state). The checker is drained first, so
-    /// the blob captures every byte ever fed; [`SessionIngest::restore`]
-    /// rebuilds an ingest that continues bit-for-bit identically to one
-    /// that was never spilled. Consumes the ingest — its pool
-    /// registration is released, which is the point: spilling frees the
+    /// position, binary delta state), so the blob captures every byte
+    /// ever fed; [`SessionIngest::restore`] rebuilds an ingest that
+    /// continues bit-for-bit identically to one that was never spilled.
+    /// Consumes the ingest, which is the point: spilling frees the
     /// session's entire memory footprint.
     pub fn spill(mut self) -> Result<Vec<u8>, String> {
         let mut w = SnapshotWriter::new();
@@ -138,19 +135,18 @@ impl SessionIngest {
                 w.put_u8(0);
                 self.parser.spill_to(&mut w);
             }
-            IngestState::Body { checker } => {
+            IngestState::Body { session } => {
                 w.put_u8(1);
                 self.parser.spill_to(&mut w);
-                let session_blob = checker.with_session(|s| s.snapshot_bytes());
-                w.put_bytes(&session_blob);
+                w.put_bytes(&session.snapshot_bytes());
             }
         }
         Ok(w.into_bytes())
     }
 
-    /// Rebuild an ingest from [`SessionIngest::spill`] output, re-registering
-    /// with `engine`'s pool. The restored ingest accepts the byte stream
-    /// exactly where the spilled one left off.
+    /// Rebuild an ingest from [`SessionIngest::spill`] output. The
+    /// restored ingest accepts the byte stream exactly where the spilled
+    /// one left off.
     pub fn restore(engine: Arc<ServeEngine>, blob: &[u8]) -> Result<Self, String> {
         let mut r = SnapshotReader::new(blob);
         let err = |e: tsan_rt::SnapshotError| format!("corrupt session spill: {e}");
@@ -162,12 +158,9 @@ impl SessionIngest {
             1 => {
                 let session_blob = r.get_bytes().map_err(err)?;
                 let session = CheckSession::restore_bytes(session_blob).map_err(err)?;
-                let checker = AsyncChecker::with_pool(
-                    Arc::clone(engine.pool()),
-                    session,
-                    engine.config().check_threads,
-                );
-                IngestState::Body { checker }
+                IngestState::Body {
+                    session: Box::new(session),
+                }
             }
             t => return Err(format!("corrupt session spill: unknown state tag {t}")),
         };
@@ -179,8 +172,8 @@ impl SessionIngest {
         })
     }
 
-    /// Close the stream: drain the checker, snapshot the summary, and
-    /// retire the session into the engine (where it becomes evictable
+    /// Close the stream: apply any trailing record, snapshot the summary,
+    /// and retire the session into the engine (where it becomes evictable
     /// under the global budget). A trailing text line without a final
     /// newline is accepted; a binary stream must end exactly at its
     /// end-of-trace marker or this reports the truncation.
@@ -199,16 +192,11 @@ impl SessionIngest {
         match std::mem::replace(&mut self.state, IngestState::Done) {
             IngestState::AwaitHeader => Err("empty session: no trace header received".to_string()),
             IngestState::Done => Err("session already closed".to_string()),
-            IngestState::Body { checker } => {
+            IngestState::Body { session } => {
                 // Summary *before* the session becomes evictable — the
                 // eviction-soundness contract (see crate::engine docs).
-                let (summary, pages) = checker.with_session(|s| (s.summary(), s.shadow_pages()));
-                let handle = checker.session_handle();
-                // Unregister from the pool before handing the idle
-                // session to the engine: eviction must never contend
-                // with a pool worker holding the session lock.
-                drop(checker);
-                self.engine.finish_session(handle, pages, &summary);
+                let summary = session.summary();
+                self.engine.finish_session(*session, &summary);
                 Ok(summary)
             }
         }

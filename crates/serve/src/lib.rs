@@ -2,28 +2,33 @@
 //!
 //! Long-running checking as a service: many clients stream recorded
 //! [`cusan`] traces (shard by shard, interleaved) to one server process,
-//! which multiplexes every session over a single shared
-//! [`cusan::CheckerPool`] and replies with per-session race/report
-//! summaries as JSON.
+//! which checks every session inline on the connection thread that
+//! receives its bytes and replies with per-session race/report summaries
+//! as JSON.
 //!
 //! The layering (see `DESIGN.md`, "Sessions & the serve path"):
 //!
 //! ```text
-//! TcpListener ──► serve_connection ──► SessionIngest ──► AsyncChecker
-//!                       │                   │                 │
-//!                       │              TraceLineParser   CheckerPool (shared)
-//!                       │                   │                 │
-//!                       └── ServeEngine ◄── SharedLabels  CheckSession
-//!                             (global shadow budget,
-//!                              retained finished sessions)
+//! TcpListener ──► serve_connection ──► ServeEngine::feed / close
+//!                 (one thread per        │  per-session lock, journal,
+//!                  connection)           │  panic guard
+//!                                        ▼
+//!                                   SessionIngest ──► TracePushParser
+//!                                        │            SharedLabels
+//!                                        ▼
+//!                                   CheckSession::apply (inline)
 //! ```
 //!
+//! The [`ServeEngine`] also owns the live-session registry, the
+//! finished sessions retained under the global shadow budget, and the
+//! spill directory.
+//!
 //! Everything downstream of [`SessionIngest`] is the same machinery live
-//! instrumentation uses — [`cusan::CheckSession::apply`] behind the
-//! work-stealing pool — so a served session's summary is bit-for-bit
-//! identical to a solo synchronous replay of the same trace, at any
-//! worker count. The determinism tests and the `selftest` binary mode
-//! assert this for ≥ 64 concurrent sessions.
+//! instrumentation uses — [`cusan::CheckSession::apply`] on the thread
+//! that produced the event — so a served session's summary is
+//! bit-for-bit identical to a solo replay of the same trace. The
+//! determinism tests and the `selftest` binary mode assert this for ≥ 64
+//! concurrent sessions.
 //!
 //! Since the crash-safety work, that contract extends to *failures*:
 //! sessions are owned by the engine and survive their connections (the

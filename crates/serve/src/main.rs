@@ -1,13 +1,12 @@
 //! `cusan-serve` — check recorded traces as a service.
 //!
 //! ```text
-//! cusan-serve listen <addr> [--check-threads N] [--global-budget P]
-//!                    [--max-sessions N] [--spill-dir DIR]
-//!                    [--live-budget P] [--idle-timeout-ms MS]
-//! cusan-serve check <trace-file>... [--check-threads N] [--global-budget P]
+//! cusan-serve listen <addr> [--global-budget P] [--max-sessions N]
+//!                    [--spill-dir DIR] [--live-budget P] [--idle-timeout-ms MS]
+//! cusan-serve check <trace-file>... [--global-budget P]
 //!                    [--serve ADDR] [--retries N] [--backoff-ms MS] [--chunk B]
 //! cusan-serve selftest [--sessions N] [--connections C] [--fixture PATH]
-//!                      [--check-threads N] [--global-budget P] [--json PATH]
+//!                      [--global-budget P] [--json PATH]
 //! cusan-serve chaos [--seeds N] [--base-seed S] [--rate R] [--restart-rate R]
 //!                   [--sessions N] [--chunk B] [--live-budget P] [--json PATH]
 //! ```
@@ -62,7 +61,6 @@ struct Options {
     connections: usize,
     chunk: usize,
     fixture: Option<String>,
-    check_threads: Option<usize>,
     global_budget: Option<usize>,
     json_path: String,
     max_sessions: Option<usize>,
@@ -88,7 +86,6 @@ fn parse_args() -> Result<Options, String> {
         connections: 8,
         chunk: 997,
         fixture: None,
-        check_threads: None,
         global_budget: None,
         json_path: "BENCH_serve_selftest.json".to_string(),
         max_sessions: None,
@@ -116,7 +113,6 @@ fn parse_args() -> Result<Options, String> {
             "--connections" => o.connections = num(&value(&mut i)?)?,
             "--chunk" => o.chunk = num(&value(&mut i)?)?,
             "--fixture" => o.fixture = Some(value(&mut i)?),
-            "--check-threads" => o.check_threads = Some(num(&value(&mut i)?)?),
             "--global-budget" => o.global_budget = Some(num(&value(&mut i)?)?),
             "--json" => o.json_path = value(&mut i)?,
             "--max-sessions" => o.max_sessions = Some(num(&value(&mut i)?)?),
@@ -158,7 +154,6 @@ fn usage() -> String {
 
 fn engine_config(o: &Options) -> EngineConfig {
     EngineConfig {
-        check_threads: o.check_threads,
         global_page_budget: o.global_budget,
         live_page_budget: o.live_budget,
         max_sessions: o.max_sessions,
@@ -295,7 +290,6 @@ fn run_chaos(o: &Options) -> Result<(), String> {
         restart_rate: o.restart_rate,
         chunk: o.chunk,
         live_page_budget: o.live_budget.or(Some(0)),
-        check_threads: o.check_threads,
     };
     let started = Instant::now();
     let (mut connects, mut restarts, mut fired) = (0u64, 0u64, 0u64);
@@ -363,7 +357,7 @@ fn selftest_corpus(o: &Options) -> Result<Vec<Vec<u8>>, String> {
     };
     // Chaos-twin recordings below honor CUSAN_TRACE_FORMAT; transcode a
     // text fixture to match so the corpus is format-uniform.
-    if cusan::ctx::trace_format_env() == Some(cusan::TraceFormat::Binary)
+    if cusan::ctx::env_overlay().trace_format == Some(cusan::TraceFormat::Binary)
         && !fixture.starts_with(cusan::binio::BIN_FAMILY)
     {
         fixture = cusan::transcode(&fixture[..], cusan::TraceFormat::Binary)
@@ -544,7 +538,7 @@ fn run_selftest(o: &Options) -> Result<(), String> {
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"benchmark\": \"serve\",\n  \"sessions\": {},\n  \"connections\": {},\n  \
-         \"distinct_traces\": {},\n  \"check_threads\": {},\n  \"global_budget\": {},\n  \
+         \"distinct_traces\": {},\n  \"global_budget\": {},\n  \
          \"hw_threads\": {hw},\n  \"wall_ns\": {},\n  \"sessions_per_sec\": {:.1},\n  \
          \"events_per_sec\": {:.0},\n  \"sessions_evicted\": {},\n  \
          \"shadow_pages_evicted\": {},\n  \"peak_resident_pages\": {},\n  \
@@ -552,8 +546,6 @@ fn run_selftest(o: &Options) -> Result<(), String> {
         o.sessions,
         connections,
         corpus.len(),
-        o.check_threads
-            .map_or("null".to_string(), |n| n.to_string()),
         o.global_budget
             .map_or("null".to_string(), |n| n.to_string()),
         elapsed.as_nanos(),

@@ -20,9 +20,9 @@
 //!
 //! Chunk boundaries are arbitrary (mid-line splits are fine); frames of
 //! one session are ordered, frames of different sessions interleave
-//! freely. Checking runs concurrently with ingestion — the reply to `C`
-//! is only assembled after the session's event stream has fully drained
-//! through the checker pool.
+//! freely. Each `DATA` frame is checked before the next frame is read —
+//! records are applied on the connection's own thread — so the reply to
+//! `C` needs only the trailing record and the summary.
 //!
 //! ## Failure model
 //!

@@ -57,7 +57,6 @@ fn sweep(corpus: Vec<(u64, Vec<u8>)>) {
         restart_rate: 0.25,
         chunk: 512,
         live_page_budget: Some(0), // every idle mid-trace session spills
-        check_threads: Some(2),
     };
     let (mut fired, mut restarts, mut resumed, mut spilled, mut restored) =
         (0u64, 0u64, 0u64, 0u64, 0u64);

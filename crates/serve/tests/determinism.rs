@@ -1,8 +1,9 @@
-//! The serve determinism contract: N concurrent sessions multiplexed
-//! over one checker pool produce summaries bit-for-bit identical to solo
-//! synchronous replays — at any worker count, under chunked interleaved
-//! delivery, and under a global shadow budget forcing cross-session
-//! eviction.
+//! The serve determinism contract: N concurrent sessions, each checked
+//! inline on its own feeding thread through one engine, produce
+//! summaries bit-for-bit identical to solo replays — under chunked
+//! interleaved delivery, under a global shadow budget forcing
+//! cross-session eviction, and with a detector panic in a neighbouring
+//! session.
 //!
 //! The corpus is the golden TeaLeaf fixture (recorded by
 //! `tests/trace_fixture.rs` — regenerate, don't hand-edit) plus
@@ -76,31 +77,27 @@ fn run_sessions(
 }
 
 #[test]
-fn concurrent_sessions_match_solo_replay_at_any_worker_count() {
-    let corpus = corpus();
-    for threads in [1, 2, 4] {
-        let engine = run_sessions(
-            EngineConfig {
-                check_threads: Some(threads),
-                global_page_budget: None,
-                ..EngineConfig::default()
-            },
-            &corpus,
-            corpus.len(),
-            311, // prime chunk size: every session splits lines mid-byte
-        );
-        let stats = engine.stats();
-        assert_eq!(stats.sessions_finished, corpus.len() as u64);
-        assert_eq!(stats.sessions_evicted, 0, "no budget, no eviction");
-    }
-}
-
-#[test]
-fn sixty_four_sessions_over_one_pool() {
+fn concurrent_sessions_match_solo_replay() {
     let corpus = corpus();
     let engine = run_sessions(
         EngineConfig {
-            check_threads: Some(2),
+            global_page_budget: None,
+            ..EngineConfig::default()
+        },
+        &corpus,
+        corpus.len(),
+        311, // prime chunk size: every session splits lines mid-byte
+    );
+    let stats = engine.stats();
+    assert_eq!(stats.sessions_finished, corpus.len() as u64);
+    assert_eq!(stats.sessions_evicted, 0, "no budget, no eviction");
+}
+
+#[test]
+fn sixty_four_concurrent_sessions_share_labels() {
+    let corpus = corpus();
+    let engine = run_sessions(
+        EngineConfig {
             global_page_budget: None,
             ..EngineConfig::default()
         },
@@ -130,7 +127,6 @@ fn global_budget_evicts_idle_sessions_without_changing_races() {
     // Baseline: unlimited retention, to learn the corpus's real page load.
     let unlimited = run_sessions(
         EngineConfig {
-            check_threads: Some(2),
             global_page_budget: None,
             ..EngineConfig::default()
         },
@@ -150,7 +146,6 @@ fn global_budget_evicts_idle_sessions_without_changing_races() {
     let budget = (full / 4).max(1);
     let capped = run_sessions(
         EngineConfig {
-            check_threads: Some(2),
             global_page_budget: Some(budget as usize),
             ..EngineConfig::default()
         },
@@ -179,7 +174,6 @@ fn socket_end_to_end_replies_with_solo_identical_json() {
 
     let corpus = corpus();
     let engine = ServeEngine::new(EngineConfig {
-        check_threads: Some(2),
         global_page_budget: None,
         ..EngineConfig::default()
     });
@@ -242,7 +236,6 @@ fn binary_corpus_serves_identically_to_text() {
     }
     let engine = run_sessions(
         EngineConfig {
-            check_threads: Some(2),
             global_page_budget: None,
             ..EngineConfig::default()
         },
@@ -281,5 +274,74 @@ fn bad_streams_fail_cleanly_without_poisoning_the_engine() {
     good.feed(GOLDEN.as_bytes()).unwrap();
     let summary = good.finish().unwrap();
     assert_eq!(summary, solo_summary(GOLDEN).unwrap());
+    assert_eq!(engine.stats().sessions_finished, 1);
+}
+
+#[test]
+fn detector_panic_fails_only_its_own_session() {
+    use cusan_serve::proto::{
+        data_frame, open_frame, parse_reply, quit_frame, read_frame, resume_frame, write_frame,
+    };
+    use cusan_serve::{check_traces, serve_listener, Reply};
+    use std::io::{BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    // Well-framed but impossible: switching to a destroyed fiber trips
+    // the detector's liveness assertion mid-apply.
+    const POISON: &str = "cusan-trace v2 rank 0 tiered 1 budget none\n\
+                          s 0 doomed stream\n\
+                          fc 1 0\n\
+                          fd 1\n\
+                          fs 1\n";
+    const DOOMED: u64 = 7;
+
+    let engine = ServeEngine::new(EngineConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let engine = Arc::clone(&engine);
+        // The healthy client, the poisoned one, and its resume attempt.
+        std::thread::spawn(move || serve_listener(engine, listener, Some(3)))
+    };
+    let request = |frames: &[Vec<u8>]| -> Reply {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        for f in frames {
+            write_frame(&mut writer, f).unwrap();
+        }
+        writer.flush().unwrap();
+        let reply = parse_reply(&read_frame(&mut reader).unwrap().expect("a reply")).unwrap();
+        write_frame(&mut writer, &quit_frame()).unwrap();
+        reply
+    };
+
+    std::thread::scope(|scope| {
+        let healthy = scope.spawn(|| {
+            let stream = TcpStream::connect(addr).unwrap();
+            let reader = stream.try_clone().unwrap();
+            check_traces(reader, stream, &[(1, GOLDEN.as_bytes().to_vec())], 97).unwrap()
+        });
+
+        match request(&[open_frame(DOOMED), data_frame(DOOMED, 0, POISON.as_bytes())]) {
+            Reply::Error { id, message } => {
+                assert_eq!(id, DOOMED);
+                assert!(message.contains("switch to dead fiber"), "{message}");
+            }
+            other => panic!("poisoned feed must be refused with E, got {other:?}"),
+        }
+        match request(&[resume_frame(DOOMED)]) {
+            Reply::Error { id, .. } => assert_eq!(id, DOOMED),
+            other => panic!("a failed session must not resume, got {other:?}"),
+        }
+
+        let expected = summary_to_json(1, &solo_summary(GOLDEN).unwrap());
+        match healthy.join().unwrap().as_slice() {
+            [Reply::Summary { id: 1, json }] => assert_eq!(*json, expected),
+            other => panic!("healthy session must get its summary, got {other:?}"),
+        }
+    });
+    server.join().unwrap().unwrap();
+    assert_eq!(engine.live_sessions(), 0, "the failed session was dropped");
     assert_eq!(engine.stats().sessions_finished, 1);
 }

@@ -41,7 +41,6 @@ impl Drop for ScratchDir {
 
 fn spilling_config(dir: &ScratchDir) -> EngineConfig {
     EngineConfig {
-        check_threads: Some(2),
         spill_dir: Some(dir.0.clone()),
         ..EngineConfig::default()
     }
@@ -239,7 +238,6 @@ fn spill_restore_roundtrip_is_invisible() {
     );
 
     let resident = ServeEngine::new(EngineConfig {
-        check_threads: Some(2),
         ..EngineConfig::default()
     });
     resident.open_new(1).unwrap();
@@ -255,7 +253,6 @@ fn spill_restore_roundtrip_is_invisible() {
 fn live_budget_spills_idle_sessions_on_detach() {
     let dir = ScratchDir::new("live-budget");
     let engine = ServeEngine::new(EngineConfig {
-        check_threads: Some(2),
         spill_dir: Some(dir.0.clone()),
         live_page_budget: Some(0),
         ..EngineConfig::default()
@@ -317,7 +314,6 @@ fn restarted_server_recovers_sessions_from_disk() {
 #[test]
 fn socket_resumption_survives_a_mid_trace_disconnect() {
     let engine = ServeEngine::new(EngineConfig {
-        check_threads: Some(2),
         ..EngineConfig::default()
     });
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -391,7 +387,6 @@ fn canonical_labels_never_alias_across_session_churn() {
     // session eviction must never free or rebind a canonical label),
     // and distinct labels must never share one.
     let engine = ServeEngine::new(EngineConfig {
-        check_threads: Some(2),
         global_page_budget: Some(1), // evict aggressively: constant churn
         ..EngineConfig::default()
     });
