@@ -19,11 +19,12 @@
 //! complete failure schedule for the whole batch.
 
 use crate::proto::{
-    close_frame, data_frame, parse_reply, quit_frame, read_frame, resume_frame, write_frame, Reply,
+    close_frame, data_frame, parse_reply, quit_frame, read_frame, resume_frame, tcp_halves,
+    write_frame, Reply,
 };
 use cusan::{FaultInjector, NetFault};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -130,8 +131,7 @@ fn run_episode(
     chunk: usize,
     faults: &FaultInjector,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let (mut reader, mut writer) = tcp_halves(stream)?;
     // Resume handshake: attach every unfinished session, rewind its
     // cursor to what the server actually holds. A session the server
     // expired (or never saw, or lost to a restart with an empty journal)

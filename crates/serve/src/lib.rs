@@ -57,7 +57,6 @@ pub use labels::SharedLabels;
 pub use proto::{check_traces, serve_connection, FrameError, Reply};
 
 use cusan::{CheckSession, SessionOptions, SessionSummary, TraceReader, TraceRecord};
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -81,9 +80,10 @@ pub fn solo_summary(trace: impl AsRef<[u8]>) -> Result<SessionSummary, String> {
 
 /// Accept connections on `listener` forever (or until `max_connections`,
 /// when given — the selftest's bounded variant), one thread per
-/// connection, all sharing `engine`. Per-connection I/O errors are
-/// logged, not fatal: one misbehaving client must not take the service
-/// down.
+/// connection, all sharing `engine`. Accept errors and per-connection
+/// setup and I/O errors are logged, not fatal: one misbehaving client
+/// must not take the service down. A failed accept still uses up a
+/// `max_connections` slot, so a bounded listener always ends.
 pub fn serve_listener(
     engine: Arc<ServeEngine>,
     listener: TcpListener,
@@ -91,18 +91,27 @@ pub fn serve_listener(
 ) -> std::io::Result<()> {
     std::thread::scope(|scope| {
         for (accepted, stream) in listener.incoming().enumerate() {
-            let stream = stream?;
-            let engine = Arc::clone(&engine);
-            scope.spawn(move || {
-                let peer = stream
-                    .peer_addr()
-                    .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string());
-                let mut reader = BufReader::new(stream.try_clone().expect("clone TCP stream"));
-                let mut writer = stream;
-                if let Err(e) = serve_connection(&engine, &mut reader, &mut writer) {
-                    eprintln!("cusan-serve: connection from {peer} failed: {e}");
+            match stream {
+                Ok(stream) => {
+                    let engine = Arc::clone(&engine);
+                    scope.spawn(move || {
+                        let peer = stream
+                            .peer_addr()
+                            .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string());
+                        let result = proto::tcp_halves(stream)
+                            .and_then(|(mut r, mut w)| serve_connection(&engine, &mut r, &mut w));
+                        if let Err(e) = result {
+                            eprintln!("cusan-serve: connection from {peer} failed: {e}");
+                        }
+                    });
                 }
-            });
+                Err(e) => {
+                    eprintln!("cusan-serve: accept failed: {e}");
+                    // Out of descriptors clears only when a connection
+                    // ends; do not spin on it.
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+            }
             if max_connections.is_some_and(|max| accepted + 1 >= max) {
                 break;
             }

@@ -39,6 +39,7 @@
 //!   asserting every summary stays byte-identical to solo replay. This
 //!   is the `serve-chaos-smoke` CI job.
 
+use cusan_serve::proto::tcp_halves;
 use cusan_serve::{
     chaos_serve, check_traces, check_traces_resilient, serve_listener, solo_summary,
     summary_to_json, ChaosOptions, EngineConfig, Reply, RetryPolicy, ServeEngine, SessionIngest,
@@ -417,8 +418,8 @@ fn run_selftest(o: &Options) -> Result<(), String> {
             .map(|traces| {
                 scope.spawn(|| {
                     let stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-                    let reader = stream.try_clone().map_err(|e| e.to_string())?;
-                    check_traces(reader, stream, traces, o.chunk).map_err(|e| e.to_string())
+                    let (reader, writer) = tcp_halves(stream).map_err(|e| e.to_string())?;
+                    check_traces(reader, writer, traces, o.chunk).map_err(|e| e.to_string())
                 })
             })
             .collect();

@@ -169,6 +169,7 @@ fn global_budget_evicts_idle_sessions_without_changing_races() {
 
 #[test]
 fn socket_end_to_end_replies_with_solo_identical_json() {
+    use cusan_serve::proto::tcp_halves;
     use cusan_serve::{check_traces, serve_listener, Reply};
     use std::net::{TcpListener, TcpStream};
 
@@ -191,9 +192,8 @@ fn socket_end_to_end_replies_with_solo_identical_json() {
         .enumerate()
         .map(|(i, t)| (i as u64, t.clone()))
         .collect();
-    let stream = TcpStream::connect(addr).unwrap();
-    let reader = stream.try_clone().unwrap();
-    let mut replies = check_traces(reader, stream, &traces, 173).unwrap();
+    let (reader, writer) = tcp_halves(TcpStream::connect(addr).unwrap()).unwrap();
+    let mut replies = check_traces(reader, writer, &traces, 173).unwrap();
     server.join().unwrap().unwrap();
 
     replies.sort_by_key(|r| match r {
@@ -214,6 +214,61 @@ fn socket_end_to_end_replies_with_solo_identical_json() {
         }
     }
     assert_eq!(engine.stats().sessions_finished, corpus.len() as u64);
+}
+
+#[test]
+fn heartbeat_round_trips_do_not_wait_out_nagle_stalls() {
+    use cusan_serve::proto::{
+        close_frame, data_frame, heartbeat_frame, open_frame, parse_reply, quit_frame, read_frame,
+        write_frame,
+    };
+    use cusan_serve::{serve_listener, Reply};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    const ID: u64 = 11;
+    const ROUND_TRIPS: usize = 20;
+    let engine = ServeEngine::new(EngineConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || serve_listener(engine, listener, Some(1)))
+    };
+
+    // A raw client socket that leaves Nagle on, as a client outside this
+    // crate may: the server side alone must keep round trips stall-free.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let trace = GOLDEN.as_bytes();
+    let acked = trace.len() as u64;
+    write_frame(&mut stream, &open_frame(ID)).unwrap();
+    write_frame(&mut stream, &data_frame(ID, 0, trace)).unwrap();
+    let started = Instant::now();
+    for _ in 0..ROUND_TRIPS {
+        write_frame(&mut stream, &heartbeat_frame(ID)).unwrap();
+        let reply = parse_reply(&read_frame(&mut stream).unwrap().expect("an ack")).unwrap();
+        assert_eq!(reply, Reply::Ack { id: ID, acked });
+    }
+    let elapsed = started.elapsed();
+    // A delayed-ACK stall is ~40 ms per direction on Linux loopback; with
+    // split frames or Nagle on the server this loop takes ~1.7 s.
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "{ROUND_TRIPS} heartbeat round trips took {elapsed:?}"
+    );
+
+    write_frame(&mut stream, &close_frame(ID)).unwrap();
+    let expected = summary_to_json(ID, &solo_summary(GOLDEN).unwrap());
+    match parse_reply(&read_frame(&mut stream).unwrap().expect("a summary")).unwrap() {
+        Reply::Summary { id, json } => {
+            assert_eq!(id, ID);
+            assert_eq!(json, expected);
+        }
+        other => panic!("expected the session summary, got {other:?}"),
+    }
+    write_frame(&mut stream, &quit_frame()).unwrap();
+    server.join().unwrap().unwrap();
+    assert_eq!(engine.stats().sessions_finished, 1);
 }
 
 #[test]
@@ -280,10 +335,11 @@ fn bad_streams_fail_cleanly_without_poisoning_the_engine() {
 #[test]
 fn detector_panic_fails_only_its_own_session() {
     use cusan_serve::proto::{
-        data_frame, open_frame, parse_reply, quit_frame, read_frame, resume_frame, write_frame,
+        data_frame, open_frame, parse_reply, quit_frame, read_frame, resume_frame, tcp_halves,
+        write_frame,
     };
     use cusan_serve::{check_traces, serve_listener, Reply};
-    use std::io::{BufReader, Write};
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
 
     // Well-framed but impossible: switching to a destroyed fiber trips
@@ -304,9 +360,7 @@ fn detector_panic_fails_only_its_own_session() {
         std::thread::spawn(move || serve_listener(engine, listener, Some(3)))
     };
     let request = |frames: &[Vec<u8>]| -> Reply {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
+        let (mut reader, mut writer) = tcp_halves(TcpStream::connect(addr).unwrap()).unwrap();
         for f in frames {
             write_frame(&mut writer, f).unwrap();
         }
@@ -318,9 +372,8 @@ fn detector_panic_fails_only_its_own_session() {
 
     std::thread::scope(|scope| {
         let healthy = scope.spawn(|| {
-            let stream = TcpStream::connect(addr).unwrap();
-            let reader = stream.try_clone().unwrap();
-            check_traces(reader, stream, &[(1, GOLDEN.as_bytes().to_vec())], 97).unwrap()
+            let (reader, writer) = tcp_halves(TcpStream::connect(addr).unwrap()).unwrap();
+            check_traces(reader, writer, &[(1, GOLDEN.as_bytes().to_vec())], 97).unwrap()
         });
 
         match request(&[open_frame(DOOMED), data_frame(DOOMED, 0, POISON.as_bytes())]) {

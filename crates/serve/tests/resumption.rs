@@ -8,7 +8,7 @@
 
 use cusan_serve::proto::{
     close_frame, data_frame, heartbeat_frame, parse_reply, quit_frame, read_frame, resume_frame,
-    write_frame,
+    tcp_halves, write_frame,
 };
 use cusan_serve::{
     serve_connection, serve_listener, solo_summary, summary_to_json, AttachError, EngineConfig,
@@ -327,9 +327,7 @@ fn socket_resumption_survives_a_mid_trace_disconnect() {
 
     // Connection 1: attach, stream two thirds, vanish without closing.
     {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
+        let (mut reader, mut writer) = tcp_halves(TcpStream::connect(addr).unwrap()).unwrap();
         write_frame(&mut writer, &resume_frame(5)).unwrap();
         let ack = parse_reply(&read_frame(&mut reader).unwrap().unwrap()).unwrap();
         assert_eq!(ack, Reply::Ack { id: 5, acked: 0 });
@@ -354,9 +352,7 @@ fn socket_resumption_survives_a_mid_trace_disconnect() {
     }
 
     // Connection 2: resume, learn the acked offset, finish the trace.
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
+    let (mut reader, mut writer) = tcp_halves(TcpStream::connect(addr).unwrap()).unwrap();
     write_frame(&mut writer, &resume_frame(5)).unwrap();
     let acked = match parse_reply(&read_frame(&mut reader).unwrap().unwrap()).unwrap() {
         Reply::Ack { id: 5, acked } => acked,
