@@ -1,10 +1,25 @@
 //! Shadow-tier microbenchmark with a JSON trajectory record.
 //!
-//! Times the three `shadow_access_range` cases (cold page-aligned large
-//! range, repeated identical range, partial-overlap unfold) with tiering
-//! on and off, prints a table, and writes `BENCH_shadow.json` to the
-//! current directory (override with `CUSAN_BENCH_SHADOW_JSON`) so future
-//! PRs have a perf baseline to diff against.
+//! Times six `shadow_access_range` cases with tiering on and off, prints
+//! a table, and writes `BENCH_shadow.json` to the current directory
+//! (override with `CUSAN_BENCH_SHADOW_JSON`) so future changes have a
+//! perf baseline to diff against. Every time is the median over
+//! `CUSAN_BENCH_RUNS` runs (default 5), recorded with its min and max
+//! and the machine's `hw_threads`.
+//!
+//! The cases:
+//! - `cold_1MiB`: first-touch page-aligned write (summary tier);
+//! - `repeated_1MiB_x256`: identical re-annotations (same-state fast
+//!   path);
+//! - `resummarize_2MiB_foreign_epoch`: the Jacobi shape — two fibers
+//!   take turns re-annotating 512 summarized pages, each after a
+//!   happens-before edge from the other, so every page re-summarizes
+//!   cleanly at a new epoch;
+//! - `unaligned_4KiB_over_unfolded`: the TeaLeaf shape — 4 KiB ranges
+//!   straddling two unfolded pages, re-annotated by alternating fibers
+//!   (the run-granular walk);
+//! - `partial_unfold_64pages` and `unfold_cold_total_64pages`: splitting
+//!   summaries with partial writes.
 //!
 //! Targets from the tiered-shadow change: ≥ 5× on the repeated
 //! whole-buffer case and ≥ 2× on cold page-aligned ranges.
@@ -13,32 +28,68 @@
 //! times *only* the partial writes, after an untimed setup — which hands
 //! the flat walk its slot-array allocation for free while the tiered
 //! shadow pays it inside the timed region (unfolding a summary is where
-//! the flat representation is first materialized, and on this container
-//! first-touch page faults dominate everything else in the loop). That
-//! asymmetry is the whole 0.0x "cliff"; the unfold itself replicates only
-//! the live summary prefix and adds no work beyond the deferred
-//! allocation. `unfold_cold_total_64pages` times the same workload
-//! end-to-end (summarize/cold-walk + partial writes) so both modes
-//! account their allocation, and carries the regression assertion:
-//! tiered must land within ~4× of the flat walk (it is expected to win,
-//! since summaries make the setup nearly free).
+//! the flat representation is first materialized, and first-touch page
+//! faults dominate everything else in the loop). That asymmetry is the
+//! whole 0.1x "cliff"; the unfold itself replicates only the live summary
+//! prefix and adds no work beyond the deferred allocation.
+//! `unfold_cold_total_64pages` times the same workload end-to-end
+//! (summarize/cold-walk + partial writes) so both modes account their
+//! allocation, and carries the regression assertion: tiered must land
+//! within ~4× of the flat walk (it is expected to win, since summaries
+//! make the setup nearly free).
 
 use cusan::Flavor;
 use cusan_apps::{run_jacobi, run_tealeaf};
 use cusan_bench::{banner, env_u64, fmt_bytes, jacobi_config, tealeaf_config};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-use tsan_rt::{SyncKey, TsanRuntime, TsanStats};
+use tsan_rt::{FiberId, SyncKey, TsanRuntime, TsanStats};
 
 const COLD_LEN: u64 = 1 << 20;
 const REPEATS: u64 = 256;
+const PAGE: u64 = 4096;
+/// Pages of the re-summarized buffer (2 MiB).
+const RESUM_PAGES: u64 = 512;
+/// Fiber turns in the two epoch-hopping cases.
+const TURNS: u64 = 16;
+/// Unfolded pages under the unaligned 4 KiB ranges.
+const UNALIGNED_PAGES: u64 = 64;
+
+/// Median, min and max of one case's per-run times.
+#[derive(Clone, Copy)]
+struct Stat {
+    median: Duration,
+    min: Duration,
+    max: Duration,
+}
+
+impl Stat {
+    fn of(mut runs: Vec<Duration>) -> Stat {
+        runs.sort_unstable();
+        Stat {
+            median: runs[runs.len() / 2],
+            min: runs[0],
+            max: runs[runs.len() - 1],
+        }
+    }
+
+    /// `"<key>_ns": median, "<key>_min_ns": min, "<key>_max_ns": max`.
+    fn json(&self, key: &str) -> String {
+        format!(
+            "\"{key}_ns\": {}, \"{key}_min_ns\": {}, \"{key}_max_ns\": {}",
+            self.median.as_nanos(),
+            self.min.as_nanos(),
+            self.max.as_nanos()
+        )
+    }
+}
 
 struct Case {
     name: &'static str,
     /// Bytes of shadow-annotated traffic one timed invocation covers.
     bytes: u64,
-    tiered: Duration,
-    flat: Duration,
+    tiered: Stat,
+    flat: Stat,
     /// True when the two modes do *not* pay the same costs inside the
     /// timed region (see the module docs on `partial_unfold_64pages`:
     /// flat gets its slot-array allocation for free in the untimed
@@ -48,33 +99,40 @@ struct Case {
 }
 
 impl Case {
+    fn new(
+        name: &'static str,
+        bytes: u64,
+        runs: usize,
+        f: impl Fn(&mut TsanRuntime) -> Duration,
+    ) -> Case {
+        Case {
+            name,
+            bytes,
+            tiered: time_opts(runs, true, true, &f),
+            flat: time_opts(runs, false, true, &f),
+            informational: false,
+        }
+    }
+
+    /// Ratio of the medians.
     fn speedup(&self) -> f64 {
-        self.flat.as_secs_f64() / self.tiered.as_secs_f64().max(1e-12)
+        self.flat.median.as_secs_f64() / self.tiered.median.as_secs_f64().max(1e-12)
     }
 }
 
-fn time_case(runs: usize, tiered: bool, f: impl Fn(&mut TsanRuntime) -> Duration) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..runs {
-        let mut rt = TsanRuntime::with_shadow_tiering("bench", tiered);
-        best = best.min(f(&mut rt));
-    }
-    best
-}
-
-/// Time with every representation knob explicit (arena / epoch A/B runs).
+/// Time `f` on `runs` fresh runtimes with the representation knobs
+/// explicit (tiered shadow, epoch-compressed clocks).
 fn time_opts(
     runs: usize,
-    arena: bool,
+    tiered: bool,
     epoch: bool,
     f: impl Fn(&mut TsanRuntime) -> Duration,
-) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..runs {
-        let mut rt = TsanRuntime::with_options("bench", true, arena, epoch);
-        best = best.min(f(&mut rt));
-    }
-    best
+) -> Stat {
+    Stat::of(
+        (0..runs)
+            .map(|_| f(&mut TsanRuntime::with_options("bench", tiered, epoch)))
+            .collect(),
+    )
 }
 
 /// Cold: first-touch page-covering write of a 1 MiB buffer.
@@ -97,13 +155,59 @@ fn repeated(rt: &mut TsanRuntime) -> Duration {
     t.elapsed()
 }
 
+/// Hand the turn to `to`: it acquires what the previous fiber released
+/// on `key`, so its next access is ordered after (and foreign to) the
+/// previous fiber's.
+fn take_turn(rt: &mut TsanRuntime, to: FiberId, key: SyncKey) {
+    rt.annotate_happens_before(key);
+    rt.switch_to_fiber(to);
+    rt.annotate_happens_after(key);
+}
+
+/// Jacobi shape: the host writes a 2 MiB buffer (512 summaries), then
+/// host and a stream fiber take `TURNS` turns re-annotating all of it,
+/// each ordered after the other by a release/acquire edge. Every page
+/// re-summarizes cleanly with a foreign slot present.
+fn resummarize(rt: &mut TsanRuntime) -> Duration {
+    let ctx = rt.intern_ctx("resummarize");
+    let fibers = [rt.create_fiber("stream"), rt.host_fiber()];
+    let key = SyncKey(0x700);
+    rt.write_range(0x10_0000, RESUM_PAGES * PAGE, ctx);
+    let t = Instant::now();
+    for turn in 0..TURNS {
+        take_turn(rt, fibers[(turn % 2) as usize], key);
+        rt.write_range(0x10_0000, RESUM_PAGES * PAGE, ctx);
+    }
+    t.elapsed()
+}
+
+/// TeaLeaf shape: `UNALIGNED_PAGES` pages unfolded by ragged writes,
+/// then alternating fibers re-annotate 4 KiB ranges that start mid-page
+/// and straddle two unfolded pages, one turn per fiber.
+fn unaligned(rt: &mut TsanRuntime) -> Duration {
+    let ctx = rt.intern_ctx("unaligned");
+    let fibers = [rt.create_fiber("stream"), rt.host_fiber()];
+    let key = SyncKey(0x700);
+    for p in 0..UNALIGNED_PAGES {
+        rt.write_range(0x10_0000 + p * PAGE + 8, PAGE - 16, ctx);
+    }
+    let t = Instant::now();
+    for turn in 0..TURNS {
+        take_turn(rt, fibers[(turn % 2) as usize], key);
+        for p in 0..UNALIGNED_PAGES - 1 {
+            rt.write_range(0x10_0000 + p * PAGE + PAGE / 2, PAGE, ctx);
+        }
+    }
+    t.elapsed()
+}
+
 /// Unfold: summarize 64 pages, then split each with a partial write.
 fn unfold(rt: &mut TsanRuntime) -> Duration {
     let ctx = rt.intern_ctx("unfold");
-    rt.write_range(0x10_0000, 64 * 4096, ctx);
+    rt.write_range(0x10_0000, 64 * PAGE, ctx);
     let t = Instant::now();
     for p in 0..64u64 {
-        rt.write_range(0x10_0040 + p * 4096, 128, ctx);
+        rt.write_range(0x10_0040 + p * PAGE, 128, ctx);
     }
     t.elapsed()
 }
@@ -114,54 +218,9 @@ fn unfold(rt: &mut TsanRuntime) -> Duration {
 fn unfold_total(rt: &mut TsanRuntime) -> Duration {
     let ctx = rt.intern_ctx("unfold");
     let t = Instant::now();
-    rt.write_range(0x10_0000, 64 * 4096, ctx);
+    rt.write_range(0x10_0000, 64 * PAGE, ctx);
     for p in 0..64u64 {
-        rt.write_range(0x10_0040 + p * 4096, 128, ctx);
-    }
-    t.elapsed()
-}
-
-/// The arena A/B of [`unfold_total`]: one untimed unfold/discard cycle
-/// first, so both allocation backends start warm — the arena's slabs are
-/// carved and its free list holds the blocks; malloc's bins hold the
-/// freed boxed arrays. Timing cold-against-cold instead would compare a
-/// fresh slab mmap against malloc bins already warmed by the previous
-/// best-of runs, which measures the process allocator's cache, not the
-/// unfold path. The timed region is then exactly the end-to-end
-/// summarize + 64-partial-unfold workload.
-fn unfold_total_warm(rt: &mut TsanRuntime) -> Duration {
-    let ctx = rt.intern_ctx("unfold");
-    rt.write_range(0x10_0000, 64 * 4096, ctx);
-    for p in 0..64u64 {
-        rt.write_range(0x10_0040 + p * 4096, 128, ctx);
-    }
-    for p in 0..64u64 {
-        rt.discard_shadow_page(0x10_0000 + p * 4096);
-    }
-    let t = Instant::now();
-    rt.write_range(0x10_0000, 64 * 4096, ctx);
-    for p in 0..64u64 {
-        rt.write_range(0x10_0040 + p * 4096, 128, ctx);
-    }
-    t.elapsed()
-}
-
-/// Recycle: the arena's steady state. Unfold 64 pages, discard them so
-/// their slot blocks return to the free list, and do it again — eight
-/// full cycles. Without the arena every cycle re-allocates 64 fresh
-/// 16 KiB slot arrays; with it, cycles after the first pop recycled
-/// blocks and overwrite them in place.
-fn recycle(rt: &mut TsanRuntime) -> Duration {
-    let ctx = rt.intern_ctx("recycle");
-    let t = Instant::now();
-    for _ in 0..8 {
-        rt.write_range(0x10_0000, 64 * 4096, ctx);
-        for p in 0..64u64 {
-            rt.write_range(0x10_0040 + p * 4096, 128, ctx);
-        }
-        for p in 0..64u64 {
-            rt.discard_shadow_page(0x10_0000 + p * 4096);
-        }
+        rt.write_range(0x10_0040 + p * PAGE, 128, ctx);
     }
     t.elapsed()
 }
@@ -187,59 +246,77 @@ fn sync_op_mix(rt: &mut TsanRuntime) -> Duration {
     t.elapsed()
 }
 
+/// The epoch-hopping cases must time clean re-annotations: no races,
+/// and the Jacobi shape must stay entirely at the summary tier.
+fn check_shapes() {
+    for tiered in [true, false] {
+        let mut rt = TsanRuntime::with_shadow_tiering("bench", tiered);
+        resummarize(&mut rt);
+        assert_eq!(rt.race_count(), 0, "resummarize races (tiered={tiered})");
+        if tiered {
+            let s = rt.stats();
+            assert_eq!(s.page_unfolds, 0, "resummarize unfolded a summary");
+            assert_eq!(s.page_summaries_stored, RESUM_PAGES * (TURNS + 1));
+        }
+        let mut rt = TsanRuntime::with_shadow_tiering("bench", tiered);
+        unaligned(&mut rt);
+        assert_eq!(rt.race_count(), 0, "unaligned races (tiered={tiered})");
+    }
+}
+
 fn main() {
-    let runs = env_u64("CUSAN_BENCH_RUNS", 5) as usize;
+    let runs = (env_u64("CUSAN_BENCH_RUNS", 5) as usize).max(1);
+    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     banner(
         "Shadow tiers — access_range fast-path microbenchmark",
-        &format!("best of {runs} runs per case | tiered vs flat walk"),
+        &format!(
+            "median [min, max] of {runs} runs per case | tiered vs flat walk | {hw_threads} hw threads"
+        ),
     );
+    check_shapes();
 
+    let mut partial = Case::new("partial_unfold_64pages", 64 * 128, runs, unfold);
+    // Asymmetric by construction (flat's allocation is untimed) — kept
+    // for the shape of the cliff, flagged informational;
+    // `unfold_cold_total_64pages` is the fair measurement.
+    partial.informational = true;
     let cases = [
-        Case {
-            name: "cold_1MiB",
-            bytes: COLD_LEN,
-            tiered: time_case(runs, true, cold),
-            flat: time_case(runs, false, cold),
-            informational: false,
-        },
-        Case {
-            name: "repeated_1MiB_x256",
-            bytes: COLD_LEN * REPEATS,
-            tiered: time_case(runs, true, repeated),
-            flat: time_case(runs, false, repeated),
-            informational: false,
-        },
-        Case {
-            // Asymmetric by construction (flat's allocation is untimed)
-            // — kept for the shape of the cliff, flagged informational;
-            // `unfold_cold_total_64pages` below is the fair measurement.
-            name: "partial_unfold_64pages",
-            bytes: 64 * 128,
-            tiered: time_case(runs, true, unfold),
-            flat: time_case(runs, false, unfold),
-            informational: true,
-        },
-        Case {
-            name: "unfold_cold_total_64pages",
-            bytes: 64 * 4096 + 64 * 128,
-            tiered: time_case(runs, true, unfold_total),
-            flat: time_case(runs, false, unfold_total),
-            informational: false,
-        },
+        Case::new("cold_1MiB", COLD_LEN, runs, cold),
+        Case::new("repeated_1MiB_x256", COLD_LEN * REPEATS, runs, repeated),
+        partial,
+        Case::new(
+            "unfold_cold_total_64pages",
+            64 * PAGE + 64 * 128,
+            runs,
+            unfold_total,
+        ),
+        Case::new(
+            "resummarize_2MiB_foreign_epoch",
+            TURNS * RESUM_PAGES * PAGE,
+            runs,
+            resummarize,
+        ),
+        Case::new(
+            "unaligned_4KiB_over_unfolded",
+            TURNS * (UNALIGNED_PAGES - 1) * PAGE,
+            runs,
+            unaligned,
+        ),
     ];
 
     println!(
-        "{:<24} {:>12} {:>12} {:>12} {:>9}",
+        "{:<32} {:>11} {:>30} {:>30} {:>9}",
         "Case", "Bytes", "Tiered", "Flat", "Speedup"
     );
-    println!("{:-<72}", "");
+    println!("{:-<116}", "");
+    let fmt = |s: &Stat| format!("{:.2?} [{:.2?}, {:.2?}]", s.median, s.min, s.max);
     for c in &cases {
         println!(
-            "{:<24} {:>12} {:>12.2?} {:>12.2?} {:>8.2}x{}",
+            "{:<32} {:>11} {:>30} {:>30} {:>8.2}x{}",
             c.name,
             fmt_bytes(c.bytes),
-            c.tiered,
-            c.flat,
+            fmt(&c.tiered),
+            fmt(&c.flat),
             c.speedup(),
             if c.informational {
                 "  (informational)"
@@ -249,59 +326,20 @@ fn main() {
         );
     }
 
-    // ---- arena A/B: slab arena vs per-page boxed slot arrays --------------
-    struct ArenaCase {
-        name: &'static str,
-        on: Duration,
-        off: Duration,
-    }
-    impl ArenaCase {
-        fn speedup(&self) -> f64 {
-            self.off.as_secs_f64() / self.on.as_secs_f64().max(1e-12)
-        }
-    }
-    let arena_cases = [
-        ArenaCase {
-            name: "unfold_cold_total_64pages",
-            on: time_opts(runs, true, true, unfold_total_warm),
-            off: time_opts(runs, false, true, unfold_total_warm),
-        },
-        ArenaCase {
-            name: "unfold_recycle_64pages_x8",
-            on: time_opts(runs, true, true, recycle),
-            off: time_opts(runs, false, true, recycle),
-        },
-    ];
-    println!();
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "Arena case", "Arena on", "Arena off", "Speedup"
-    );
-    println!("{:-<64}", "");
-    for c in &arena_cases {
-        println!(
-            "{:<28} {:>12.2?} {:>12.2?} {:>8.2}x",
-            c.name,
-            c.on,
-            c.off,
-            c.speedup()
-        );
-    }
-
     // ---- epoch clocks: the sync-op mix, compressed vs join-always ---------
     let epoch_on = time_opts(runs, true, true, sync_op_mix);
     let epoch_off = time_opts(runs, true, false, sync_op_mix);
     let mix_stats = {
-        let mut rt = TsanRuntime::with_options("bench", true, true, true);
+        let mut rt = TsanRuntime::with_options("bench", true, true);
         sync_op_mix(&mut rt);
         rt.stats()
     };
     println!();
     println!(
-        "sync_op_mix (128 bursts x 6 device ops): epoch {:.2?} | join-always {:.2?} | {:.2}x",
-        epoch_on,
-        epoch_off,
-        epoch_off.as_secs_f64() / epoch_on.as_secs_f64().max(1e-12)
+        "sync_op_mix (128 bursts x 6 device ops): epoch {} | join-always {} | {:.2}x",
+        fmt(&epoch_on),
+        fmt(&epoch_off),
+        epoch_off.median.as_secs_f64() / epoch_on.median.as_secs_f64().max(1e-12)
     );
     println!(
         "  epoch_fast_acquires {} | epoch_fast_releases {} | full_clock_joins {}",
@@ -324,38 +362,29 @@ fn main() {
     }
 
     // Hand-rolled JSON: the workspace is offline, so no serde.
-    let mut json = String::from("{\n  \"benchmark\": \"shadow_access_range\",\n  \"cases\": [\n");
+    let mut json = format!(
+        "{{\n  \"benchmark\": \"shadow_access_range\",\n  \"statistic\": \"median\",\n  \
+         \"runs\": {runs},\n  \"hw_threads\": {hw_threads},\n  \"cases\": [\n"
+    );
     for (i, c) in cases.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"bytes\": {}, \"tiered_ns\": {}, \"flat_ns\": {}, \"speedup\": {:.2}, \"informational\": {}}}{}",
+            "    {{\"name\": \"{}\", \"bytes\": {}, {}, {}, \"speedup\": {:.2}, \"informational\": {}}}{}",
             c.name,
             c.bytes,
-            c.tiered.as_nanos(),
-            c.flat.as_nanos(),
+            c.tiered.json("tiered"),
+            c.flat.json("flat"),
             c.speedup(),
             c.informational,
             if i + 1 < cases.len() { "," } else { "" }
         );
     }
-    json.push_str("  ],\n  \"arena_cases\": [\n");
-    for (i, c) in arena_cases.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"arena_ns\": {}, \"no_arena_ns\": {}, \"speedup\": {:.2}}}{}",
-            c.name,
-            c.on.as_nanos(),
-            c.off.as_nanos(),
-            c.speedup(),
-            if i + 1 < arena_cases.len() { "," } else { "" }
-        );
-    }
     json.push_str("  ],\n  \"epoch_clocks\": {\n");
     let _ = writeln!(
         json,
-        "    \"sync_op_mix\": {{\"epoch_ns\": {}, \"join_always_ns\": {}, \"epoch_fast_acquires\": {}, \"epoch_fast_releases\": {}, \"full_clock_joins\": {}}},",
-        epoch_on.as_nanos(),
-        epoch_off.as_nanos(),
+        "    \"sync_op_mix\": {{{}, {}, \"epoch_fast_acquires\": {}, \"epoch_fast_releases\": {}, \"full_clock_joins\": {}}},",
+        epoch_on.json("epoch"),
+        epoch_off.json("join_always"),
         mix_stats.epoch_fast_acquires,
         mix_stats.epoch_fast_releases,
         mix_stats.full_clock_joins
@@ -381,16 +410,14 @@ fn main() {
     let repeated_ok = cases[1].speedup() >= 5.0;
     let cold_ok = cases[0].speedup() >= 2.0;
     let unfold_total_ok = cases[3].speedup() >= 0.25;
-    let arena_ok = arena_cases[0].speedup() >= 1.5;
     let mix_ok = mix_stats.epoch_fast_acquires > mix_stats.full_clock_joins;
     let tealeaf_ok = tt.epoch_fast_acquires > 0 && tt.epoch_fast_acquires > tt.full_clock_joins;
     println!(
         "targets: repeated >= 5x -> {} | cold >= 2x -> {} | unfold total within 4x of flat -> {} \
-         | arena cold unfold >= 1.5x -> {} | mix fast > joins -> {} | tealeaf fast > joins -> {}",
+         | mix fast > joins -> {} | tealeaf fast > joins -> {}",
         if repeated_ok { "met" } else { "MISSED" },
         if cold_ok { "met" } else { "MISSED" },
         if unfold_total_ok { "met" } else { "MISSED" },
-        if arena_ok { "met" } else { "MISSED" },
         if mix_ok { "met" } else { "MISSED" },
         if tealeaf_ok { "met" } else { "MISSED" },
     );
@@ -398,11 +425,6 @@ fn main() {
         unfold_total_ok,
         "partial-unfold regression: end-to-end tiered run is {:.2}x of flat (must stay within 4x)",
         cases[3].speedup()
-    );
-    assert!(
-        arena_ok,
-        "arena regression: cold unfold with the arena is only {:.2}x of boxed pages (floor 1.5x)",
-        arena_cases[0].speedup()
     );
     assert!(
         mix_ok,

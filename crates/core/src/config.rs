@@ -35,21 +35,15 @@ pub struct ToolConfig {
     /// positives whole-allocation annotation can produce — for
     /// boundary-region kernels. Off by default to match the paper.
     pub bounded_tracking: bool,
-    /// Tiered shadow memory: page summaries for whole-page annotations
-    /// plus a same-state fast path for identical re-annotations. Purely a
+    /// Tiered shadow memory: page summaries for whole-page annotations,
+    /// a same-state fast path for identical re-annotations, and a
+    /// run-granular walk over unfolded pages. Purely a
     /// performance tier — detection results are identical either way (see
     /// `crates/tsan/tests/shadow_differential.rs`). On by default; the
     /// `CUSAN_SHADOW_TIERED=0` environment knob (read in
     /// [`crate::ToolCtx::new`]) forces the flat O(bytes) walk for A/B
     /// measurements of the Fig. 12 slope.
     pub shadow_tiered: bool,
-    /// Shadow page arena: carve unfolded shadow pages from geometrically
-    /// grown slabs with a recycling free list instead of one boxed
-    /// allocation per page. Purely an allocation strategy — detection
-    /// results are bit-for-bit identical either way. On by default; the
-    /// `CUSAN_SHADOW_ARENA=0` knob (read in [`crate::ToolCtx::new`])
-    /// restores the per-page allocator for A/B benchmarking.
-    pub shadow_arena: bool,
     /// Deterministic fault injection (see [`crate::fault`]): at each
     /// intercepted CUDA/MPI call, the plan decides whether the call
     /// returns its typed error instead of running. Disabled by default;
@@ -89,7 +83,6 @@ impl ToolConfig {
         track_access_ranges: false,
         bounded_tracking: false,
         shadow_tiered: true,
-        shadow_arena: true,
         faults: FaultPlan::DISABLED,
         shadow_page_budget: None,
         barrier_timeout_ms: None,
@@ -209,15 +202,13 @@ mod tests {
 
     #[test]
     fn shadow_tiering_defaults_on_everywhere() {
-        // The tiers and the page arena are pure perf; every flavor keeps
-        // them unless the env knobs (handled in ToolCtx) turn them off.
+        // The tiers are pure perf; every flavor keeps them unless the env
+        // knob (handled in ToolCtx) turns them off.
         for f in Flavor::ALL {
             assert!(f.config().shadow_tiered, "{f}");
-            assert!(f.config().shadow_arena, "{f}");
         }
         let vanilla = ToolConfig::VANILLA;
         assert!(vanilla.shadow_tiered);
-        assert!(vanilla.shadow_arena);
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub struct EnvOverlay {
     /// `CUSAN_SHADOW_TIERED`: `0`/`false`/`off` forces the flat shadow
     /// walk, `1`/`true`/`on` forces tiering.
     pub shadow_tiered: Option<bool>,
-    /// `CUSAN_SHADOW_ARENA`: `0`/`false`/`off` restores the
-    /// one-boxed-allocation-per-page shadow for A/B benchmarking,
-    /// `1`/`true`/`on` forces the slab arena. Detection results are
-    /// bit-for-bit identical either way, so traces never record this
-    /// knob and replay re-reads it instead.
-    pub shadow_arena: Option<bool>,
     /// `CUSAN_FAULTS=<seed>:<rate>`: a deterministic fault plan.
     pub faults: Option<FaultPlan>,
     /// `CUSAN_BARRIER_TIMEOUT_MS=<n>`: the simulated-MPI barrier poison
@@ -73,7 +67,6 @@ impl EnvOverlay {
     fn from_env() -> Self {
         EnvOverlay {
             shadow_tiered: env_bool("CUSAN_SHADOW_TIERED"),
-            shadow_arena: env_bool("CUSAN_SHADOW_ARENA"),
             faults: std::env::var("CUSAN_FAULTS")
                 .ok()
                 .and_then(|v| match FaultPlan::parse(&v) {
@@ -100,9 +93,6 @@ impl EnvOverlay {
     fn apply(&self, config: &mut ToolConfig) {
         if let Some(tiered) = self.shadow_tiered {
             config.shadow_tiered = tiered;
-        }
-        if let Some(arena) = self.shadow_arena {
-            config.shadow_arena = arena;
         }
         if let Some(plan) = self.faults {
             config.faults = plan;
@@ -159,12 +149,8 @@ impl ToolCtx {
     /// [`env_overlay`] sets replaces the corresponding `config` field.
     pub fn new(rank: usize, mut config: ToolConfig) -> Self {
         env_overlay().apply(&mut config);
-        let mut tsan = TsanRuntime::with_options(
-            &format!("host (rank {rank})"),
-            config.shadow_tiered,
-            config.shadow_arena,
-            true,
-        );
+        let mut tsan =
+            TsanRuntime::with_shadow_tiering(&format!("host (rank {rank})"), config.shadow_tiered);
         tsan.set_shadow_page_budget(config.shadow_page_budget);
         ToolCtx {
             config,

@@ -21,7 +21,6 @@
 
 use std::sync::Arc;
 
-use crate::ctx::env_overlay;
 use crate::event::{CheckerSink, CtxInterner, CusanEvent, EventCounters, StrId};
 use tsan_rt::{
     CtxId, RaceReport, SnapshotError, SnapshotReader, SnapshotWriter, TsanRuntime, TsanStats,
@@ -31,8 +30,11 @@ use tsan_rt::{
 /// runtime-level `cusansnp` so the two blob kinds cannot be confused).
 pub const SESSION_SNAPSHOT_MAGIC: &[u8; 8] = b"cusanses";
 
-/// Version of the session snapshot layout.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 1;
+/// Version of the session snapshot layout. It moves with the embedded
+/// runtime encoding: version 2 carries a `tsan_rt` version-2 runtime, so
+/// a spill image written before that is an
+/// [`SnapshotError::UnsupportedVersion`] rather than a misparse.
+pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
 
 /// Construction parameters for a [`CheckSession`] (mirrors the
 /// detector-relevant subset of [`crate::ToolConfig`] plus the trace
@@ -42,37 +44,29 @@ pub struct SessionOptions {
     /// MPI rank (or client-chosen id) the session checks; only used for
     /// naming the host fiber, so reports match live runs.
     pub rank: usize,
-    /// Tiered shadow memory (page summaries + fast path).
+    /// Tiered shadow memory (page summaries, fast path, run-granular
+    /// walk).
     pub shadow_tiered: bool,
-    /// Recycle shadow pages through the arena allocator.
-    pub shadow_arena: bool,
     /// Per-session shadow page budget (best-effort drops beyond it).
     pub shadow_page_budget: Option<usize>,
 }
 
 impl SessionOptions {
     /// Defaults matching a live `ToolCtx` run with a vanilla config:
-    /// tiered shadow, arena per the frozen `CUSAN_SHADOW_ARENA` knob, no
-    /// budget.
+    /// tiered shadow, no budget.
     pub fn new(rank: usize) -> Self {
         SessionOptions {
             rank,
             shadow_tiered: true,
-            shadow_arena: env_overlay().shadow_arena.unwrap_or(true),
             shadow_page_budget: None,
         }
     }
 
-    /// Options recorded in a trace header. Tiering and budget are part
-    /// of the recorded configuration (they change detection results);
-    /// the arena is a pure allocation strategy and so follows the
-    /// replaying process's environment, exactly like [`crate::replay`]
-    /// always has.
+    /// Options recorded in a trace header: tiering and budget.
     pub fn for_trace(rank: usize, tiered: bool, budget: Option<usize>) -> Self {
         SessionOptions {
             rank,
             shadow_tiered: tiered,
-            shadow_arena: env_overlay().shadow_arena.unwrap_or(true),
             shadow_page_budget: budget,
         }
     }
@@ -109,11 +103,9 @@ pub struct CheckSession {
 impl CheckSession {
     /// Fresh session with its own runtime built from `opts`.
     pub fn new(opts: &SessionOptions) -> Self {
-        let mut rt = TsanRuntime::with_options(
+        let mut rt = TsanRuntime::with_shadow_tiering(
             &format!("host (rank {})", opts.rank),
             opts.shadow_tiered,
-            opts.shadow_arena,
-            true,
         );
         rt.set_shadow_page_budget(opts.shadow_page_budget);
         Self::from_runtime(opts.rank, rt)

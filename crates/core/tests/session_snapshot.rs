@@ -217,6 +217,13 @@ fn session_restore_rejects_garbage() {
         CheckSession::restore_bytes(&blob),
         Err(SnapshotError::UnsupportedVersion(_))
     ));
+    // A spill image from before the arena-only shadow encoding.
+    let mut blob = s.snapshot_bytes();
+    blob[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        CheckSession::restore_bytes(&blob).err(),
+        Some(SnapshotError::UnsupportedVersion(1))
+    );
     let blob = s.snapshot_bytes();
     assert!(CheckSession::restore_bytes(&blob[..blob.len() - 1]).is_err());
     let mut blob = s.snapshot_bytes();

@@ -83,21 +83,19 @@ impl TsanRuntime {
     /// recovers the flat per-word walk for A/B measurements
     /// (`CUSAN_SHADOW_TIERED=0`). Detection results are identical.
     pub fn with_shadow_tiering(host_name: &str, tiered: bool) -> Self {
-        Self::with_options(host_name, tiered, true, true)
+        Self::with_options(host_name, tiered, true)
     }
 
     /// New runtime with every performance representation knob explicit:
-    /// shadow tiering, the shadow page arena (`CUSAN_SHADOW_ARENA` knob;
-    /// `false` recovers per-page boxed allocations), and epoch-compressed
-    /// clocks (`false` recovers join-always sync vars — the reference the
-    /// differential tests compare against). All three are pure perf
-    /// representations; detection results are identical in every
-    /// combination.
-    pub fn with_options(host_name: &str, tiered: bool, arena: bool, epoch_clocks: bool) -> Self {
+    /// shadow tiering and epoch-compressed clocks (`false` recovers
+    /// join-always sync vars — the reference the differential tests
+    /// compare against). Both are pure perf representations; detection
+    /// results are identical in every combination.
+    pub fn with_options(host_name: &str, tiered: bool, epoch_clocks: bool) -> Self {
         let mut rt = TsanRuntime {
             fibers: FiberTable::new(host_name),
             current: FiberId::HOST,
-            shadow: ShadowMemory::with_options(tiered, arena),
+            shadow: ShadowMemory::with_tiering(tiered),
             sync_vars: FxHashMap::default(),
             ctxs: CtxTable::new(),
             reports: Vec::new(),
@@ -458,11 +456,6 @@ impl TsanRuntime {
     /// Whether the shadow's summary/fast-path tiers are active.
     pub fn shadow_tiering_enabled(&self) -> bool {
         self.shadow.tiering_enabled()
-    }
-
-    /// Whether the shadow's page arena is active.
-    pub fn shadow_arena_enabled(&self) -> bool {
-        self.shadow.arena_enabled()
     }
 
     /// Drop the shadow page covering `addr`, recycling its slot block

@@ -23,7 +23,7 @@
 //! The instrumentation layers above (CuSan kernel arguments, MUST MPI
 //! buffers, memcpy spans) overwhelmingly annotate *whole buffers* with a
 //! single (fiber, epoch, ctx) — the effect behind the paper's Fig. 12,
-//! where checker cost grows linearly with tracked bytes. Two tiers
+//! where checker cost grows linearly with tracked bytes. Three tiers
 //! collapse that cost for the dominant shapes while preserving the exact
 //! per-word detection semantics of the flat shadow:
 //!
@@ -31,11 +31,13 @@
 //!    slot contents is stored as one `[u64; 4]` *summary* instead of 512
 //!    word slot-arrays. An access covering every word of a page runs the
 //!    slot state machine **once** against the summary — O(1) per 4 KiB
-//!    instead of 512 word walks — and conflicts found there are re-emitted
-//!    per word so the [`RawConflict`] surface (word-aligned addresses) is
-//!    unchanged. A partial overlap, or a store that would evict (eviction
-//!    is word-local, so words would diverge), lazily *unfolds* the summary
-//!    into the flat word representation first.
+//!    instead of 512 word walks. Only when that scan finds conflicts are
+//!    they re-emitted per word (512 × conflicts), so the [`RawConflict`]
+//!    surface (word-aligned addresses) is unchanged; a clean
+//!    re-annotation touches no word at all. A partial overlap, or a store
+//!    that would evict (eviction is word-local, so words would diverge),
+//!    lazily *unfolds* the summary into the flat word representation
+//!    first.
 //! 2. **Same-state fast path.** The single most common pattern in
 //!    iteration loops (Jacobi, TeaLeaf) is re-annotating an identical
 //!    range with an identical packed epoch — same fiber, clock, ctx, and
@@ -43,10 +45,20 @@
 //!    is idempotent and any conflict it would report was already reported
 //!    by the previous call), so a one-entry last-access cache skips the
 //!    entire walk.
+//! 3. **Run-granular walk.** On unfolded pages, the store decision and
+//!    the conflicts of a word are pure functions of its pre-store slots,
+//!    so a word whose slots equal the previous word's reuses that scan:
+//!    it re-emits the buffered conflicts at its own address and applies
+//!    the decision (an eviction with its own word-local victim). The walk
+//!    costs one slot scan per run of identical words plus a 4-slot
+//!    compare and store per word, instead of a full scan per word.
 //!
-//! Both tiers can be disabled ([`ShadowMemory::with_tiering`]) to recover
-//! the flat O(bytes) walk for A/B measurements; detection results are
-//! identical either way (see `tests/shadow_differential.rs`).
+//! All three tiers can be disabled ([`ShadowMemory::with_tiering`]) to
+//! recover the flat O(bytes) walk for A/B measurements; detection results
+//! are identical either way (see `tests/shadow_differential.rs`).
+//!
+//! Unfolded pages live in a slab arena (`PageArena`) that recycles
+//! discarded page blocks through a free list.
 
 use crate::clock::VectorClock;
 use crate::fiber::FiberId;
@@ -134,8 +146,8 @@ pub struct ShadowCounters {
     /// its page budget (best-effort mode; see
     /// [`ShadowMemory::set_page_budget`]).
     pub dropped_annotations: u64,
-    /// Page blocks recycled from the arena free list (0 with the arena
-    /// off or while nothing was discarded).
+    /// Page blocks recycled from the arena free list (0 while nothing
+    /// was discarded).
     pub arena_pages_reused: u64,
     /// Arena slabs allocated (logarithmic in unfolded page count thanks
     /// to geometric slab growth).
@@ -401,65 +413,14 @@ impl PageArena {
     }
 }
 
-/// Storage of one unfolded page: an arena block, or a boxed array when
-/// the arena is disabled (`CUSAN_SHADOW_ARENA=0` A/B mode).
-enum PageSlots {
-    Owned(Box<[u64; SLOTS_PER_PAGE]>),
-    Arena(BlockId),
-}
-
-impl PageSlots {
-    fn zeroed(arena: &mut PageArena, use_arena: bool) -> PageSlots {
-        if use_arena {
-            PageSlots::Arena(arena.alloc_zeroed())
-        } else {
-            PageSlots::Owned(vec![0u64; SLOTS_PER_PAGE].try_into().expect("page size"))
-        }
-    }
-
-    fn unfolded(
-        summary: [u64; SLOTS_PER_WORD],
-        arena: &mut PageArena,
-        use_arena: bool,
-    ) -> PageSlots {
-        if use_arena {
-            PageSlots::Arena(arena.alloc_filled(&summary))
-        } else {
-            let mut slots: Box<[u64; SLOTS_PER_PAGE]> =
-                vec![0u64; SLOTS_PER_PAGE].try_into().expect("page size");
-            let live = SLOTS_PER_WORD - summary.iter().rev().take_while(|&&s| s == 0).count();
-            if live > 0 {
-                for w in 0..WORDS_PER_PAGE {
-                    let base = w * SLOTS_PER_WORD;
-                    slots[base..base + live].copy_from_slice(&summary[..live]);
-                }
-            }
-            PageSlots::Owned(slots)
-        }
-    }
-
-    fn resolve<'a>(&'a self, arena: &'a PageArena) -> &'a [u64; SLOTS_PER_PAGE] {
-        match self {
-            PageSlots::Owned(b) => b,
-            PageSlots::Arena(id) => arena.block(*id),
-        }
-    }
-
-    fn resolve_mut<'a>(&'a mut self, arena: &'a mut PageArena) -> &'a mut [u64; SLOTS_PER_PAGE] {
-        match self {
-            PageSlots::Owned(b) => b,
-            PageSlots::Arena(id) => arena.block_mut(*id),
-        }
-    }
-}
-
 /// One shadow page: either a summary (all words identical) or flat slots.
 enum PageState {
     /// Invariant: a flat page with these slots replicated into every word
     /// behaves identically. Maintained by unfolding before any operation
     /// that would make words diverge.
     Summary([u64; SLOTS_PER_WORD]),
-    Unfolded(PageSlots),
+    /// Flat word slots in an arena block.
+    Unfolded(BlockId),
 }
 
 /// What the slot state machine decided to do with the incoming access.
@@ -475,15 +436,23 @@ enum StoreDecision {
     Evict,
 }
 
+/// One incoming access, as the per-word slot state machine sees it.
+struct Incoming<'a> {
+    /// The packed epoch a store writes.
+    raw: u64,
+    fiber: FiberId,
+    write: bool,
+    /// The accessing fiber's full vector clock.
+    clock: &'a VectorClock,
+}
+
 /// Scan one word's slots against an incoming access: emit each conflicting
 /// prior access and decide where (whether) to store. Pure with respect to
 /// the slots; the caller applies the decision.
 #[inline]
 fn scan_slots(
     slots: &[u64],
-    fiber: FiberId,
-    write: bool,
-    fiber_clock: &VectorClock,
+    acc: &Incoming<'_>,
     mut emit: impl FnMut(ShadowAccess),
 ) -> StoreDecision {
     let mut store_at: Option<usize> = None;
@@ -497,9 +466,9 @@ fn scan_slots(
             continue;
         }
         let prev = unpack(raw);
-        if prev.fiber == fiber {
+        if prev.fiber == acc.fiber {
             // Same fiber: ordered by program order; never a race.
-            if write || !prev.write {
+            if acc.write || !prev.write {
                 // New access subsumes the old entry.
                 store_at = Some(i);
             } else {
@@ -511,7 +480,7 @@ fn scan_slots(
         }
         // Different fiber: conflicting iff at least one write and the
         // recorded epoch is not in our happens-before past.
-        if (write || prev.write) && fiber_clock.get(prev.fiber) < prev.clock {
+        if (acc.write || prev.write) && acc.clock.get(prev.fiber) < prev.clock {
             emit(prev);
         }
     }
@@ -522,6 +491,71 @@ fn scan_slots(
             (Some(i), _) => StoreDecision::At(i),
             (None, Some(i)) => StoreDecision::At(i),
             (None, None) => StoreDecision::Evict,
+        }
+    }
+}
+
+impl StoreDecision {
+    /// Apply the decision to the slots of word `word`.
+    #[inline]
+    fn apply(self, slots: &mut [u64], word: u64, acc: &Incoming<'_>) {
+        match self {
+            StoreDecision::Skip => {}
+            StoreDecision::At(i) => slots[i] = acc.raw,
+            StoreDecision::Evict => slots[victim_slot(word, acc.fiber)] = acc.raw,
+        }
+    }
+}
+
+/// Placeholder for unused entries of [`WordScan::conflicts`].
+const NO_ACCESS: ShadowAccess = ShadowAccess {
+    fiber: FiberId::HOST,
+    clock: 0,
+    ctx: CtxId(0),
+    write: false,
+};
+
+/// The slot state machine's whole verdict on one word's slots: the store
+/// decision and the conflicting prior accesses, in slot order. Both are
+/// pure functions of the pre-store slots (and the incoming access), so
+/// any word holding the same slots gets the same verdict.
+struct WordScan {
+    /// The pre-store slots the verdict was computed from.
+    slots: [u64; SLOTS_PER_WORD],
+    decision: StoreDecision,
+    conflicts: [ShadowAccess; SLOTS_PER_WORD],
+    n_conflicts: usize,
+}
+
+impl WordScan {
+    #[inline]
+    fn new(slots: [u64; SLOTS_PER_WORD], acc: &Incoming<'_>) -> Self {
+        let mut conflicts = [NO_ACCESS; SLOTS_PER_WORD];
+        let mut n_conflicts = 0;
+        let decision = scan_slots(&slots, acc, |prev| {
+            conflicts[n_conflicts] = prev;
+            n_conflicts += 1;
+        });
+        WordScan {
+            slots,
+            decision,
+            conflicts,
+            n_conflicts,
+        }
+    }
+
+    fn conflicts(&self) -> &[ShadowAccess] {
+        &self.conflicts[..self.n_conflicts]
+    }
+
+    /// Report this verdict's conflicts at word `word`, in slot order.
+    #[inline]
+    fn emit(&self, word: u64, on_conflict: &mut impl FnMut(RawConflict)) {
+        for &prev in self.conflicts() {
+            on_conflict(RawConflict {
+                word_addr: word * WORD_BYTES,
+                prev,
+            });
         }
     }
 }
@@ -549,7 +583,6 @@ struct LastAccess {
 pub struct ShadowMemory {
     pages: FxHashMap<u64, PageState>,
     arena: PageArena,
-    use_arena: bool,
     tiered: bool,
     last: Option<LastAccess>,
     counters: ShadowCounters,
@@ -563,27 +596,18 @@ impl Default for ShadowMemory {
 }
 
 impl ShadowMemory {
-    /// Fresh, empty shadow memory with tiering and the page arena enabled.
+    /// Fresh, empty shadow memory with tiering enabled.
     pub fn new() -> Self {
         Self::with_tiering(true)
     }
 
-    /// Fresh shadow with the page-summary/fast-path tiers on or off.
-    /// Untiered, every access walks one slot array per touched word — the
-    /// flat O(bytes) behavior measured in the paper's Fig. 12.
+    /// Fresh shadow with the tiers on or off. Untiered, every access
+    /// scans one slot array per touched word — the flat O(bytes)
+    /// behavior measured in the paper's Fig. 12.
     pub fn with_tiering(tiered: bool) -> Self {
-        Self::with_options(tiered, true)
-    }
-
-    /// Fresh shadow choosing both the tier mode and whether unfolded
-    /// pages live in the slab arena (`arena = false` reproduces the
-    /// one-`Box`-per-page allocator for A/B benchmarking; detection
-    /// behavior is bit-for-bit identical either way).
-    pub fn with_options(tiered: bool, arena: bool) -> Self {
         ShadowMemory {
             pages: FxHashMap::default(),
             arena: PageArena::new(),
-            use_arena: arena,
             tiered,
             last: None,
             counters: ShadowCounters::default(),
@@ -596,21 +620,17 @@ impl ShadowMemory {
         self.tiered
     }
 
-    /// Whether unfolded pages are carved from the slab arena.
-    pub fn arena_enabled(&self) -> bool {
-        self.use_arena
-    }
-
     /// Forget all shadow state for the page containing `addr`, returning
-    /// whether a page was tracked there. An arena-backed slot block goes
-    /// back on the free list for recycling. Used by allocation-lifetime
-    /// hooks (free/device-reset paths) so long runs can give pages back.
+    /// whether a page was tracked there. An unfolded page's slot block
+    /// goes back on the arena free list for recycling. Used by
+    /// allocation-lifetime hooks (free/device-reset paths) so long runs
+    /// can give pages back.
     pub fn discard_page(&mut self, addr: u64) -> bool {
         let page_base = (addr / WORD_BYTES) / WORDS_PER_PAGE as u64;
         let Some(state) = self.pages.remove(&page_base) else {
             return false;
         };
-        if let PageState::Unfolded(PageSlots::Arena(id)) = state {
+        if let PageState::Unfolded(id) = state {
             self.arena.free_block(id);
         }
         // The last-access cache may describe a range inside the discarded
@@ -630,7 +650,7 @@ impl ShadowMemory {
     pub fn evict_all_pages(&mut self) -> usize {
         let n = self.pages.len();
         for (_, state) in self.pages.drain() {
-            if let PageState::Unfolded(PageSlots::Arena(id)) = state {
+            if let PageState::Unfolded(id) = state {
                 self.arena.free_block(id);
             }
         }
@@ -718,13 +738,18 @@ impl ShadowMemory {
         let Self {
             pages,
             arena,
-            use_arena,
             tiered,
             counters,
             page_budget,
             ..
         } = self;
-        let (use_arena, tiered, page_budget) = (*use_arena, *tiered, *page_budget);
+        let (tiered, page_budget) = (*tiered, *page_budget);
+        let incoming = Incoming {
+            raw: new_raw,
+            fiber,
+            write,
+            clock: fiber_clock,
+        };
         let mut word = first_word;
         while word <= last_word {
             let page_base = word / words_per_page;
@@ -755,19 +780,14 @@ impl ShadowMemory {
                     } else {
                         // Partial first touch: pop a zeroed block from the
                         // arena instead of a fresh 16 KiB allocation.
-                        let page =
-                            v.insert(PageState::Unfolded(PageSlots::zeroed(arena, use_arena)));
-                        let PageState::Unfolded(ps) = page else {
-                            unreachable!()
-                        };
+                        let id = arena.alloc_zeroed();
+                        v.insert(PageState::Unfolded(id));
                         walk_words(
-                            ps.resolve_mut(arena),
+                            arena.block_mut(id),
                             word,
                             end_word,
-                            new_raw,
-                            fiber,
-                            write,
-                            fiber_clock,
+                            &incoming,
+                            tiered,
                             &mut on_conflict,
                         );
                     }
@@ -779,41 +799,28 @@ impl ShadowMemory {
                             let mut need_unfold = true;
                             if whole_page {
                                 // Run the slot state machine once against
-                                // the summary. Conflicts are buffered and
-                                // re-emitted per word below so reports
-                                // stay word-addressed, exactly like the
-                                // flat walk (each word held identical
-                                // slots, so each word conflicts
-                                // identically).
-                                let mut conflicts = [ShadowAccess {
-                                    fiber: FiberId::HOST,
-                                    clock: 0,
-                                    ctx: CtxId(0),
-                                    write: false,
-                                };
-                                    SLOTS_PER_WORD];
-                                let mut n_conflicts = 0usize;
-                                let decision =
-                                    scan_slots(&summary[..], fiber, write, fiber_clock, |prev| {
-                                        conflicts[n_conflicts] = prev;
-                                        n_conflicts += 1;
-                                    });
+                                // the summary.
+                                let scan = WordScan::new(*summary, &incoming);
                                 // Eviction is word-local: applying it at
                                 // the summary tier would evict the same
                                 // slot in all 512 words while the flat
                                 // walk would diverge per word. Unfold and
                                 // take the slow path instead (rare: needs
                                 // 4 live foreign epochs).
-                                if decision != StoreDecision::Evict {
-                                    for w in page_first_word..=page_last_word {
-                                        for prev in conflicts.iter().take(n_conflicts) {
-                                            on_conflict(RawConflict {
-                                                word_addr: w * WORD_BYTES,
-                                                prev: *prev,
-                                            });
+                                if scan.decision != StoreDecision::Evict {
+                                    // Conflicts are re-emitted per word so
+                                    // reports stay word-addressed, exactly
+                                    // like the flat walk (each word held
+                                    // identical slots, so each word
+                                    // conflicts identically). A clean
+                                    // re-annotation emits nothing and
+                                    // costs O(1) for the page.
+                                    if !scan.conflicts().is_empty() {
+                                        for w in page_first_word..=page_last_word {
+                                            scan.emit(w, &mut on_conflict);
                                         }
                                     }
-                                    if let StoreDecision::At(i) = decision {
+                                    if let StoreDecision::At(i) = scan.decision {
                                         summary[i] = new_raw;
                                     }
                                     counters.page_summaries_stored += 1;
@@ -821,37 +828,28 @@ impl ShadowMemory {
                                 }
                             }
                             if need_unfold {
-                                // Unfold = pop a block + replicate the live
-                                // prefix (arena) or allocate a fresh boxed
-                                // array (arena off).
-                                *state = PageState::Unfolded(PageSlots::unfolded(
-                                    *summary, arena, use_arena,
-                                ));
+                                // Unfold = pop a block + replicate the
+                                // summary into every word.
+                                let id = arena.alloc_filled(summary);
+                                *state = PageState::Unfolded(id);
                                 counters.page_unfolds += 1;
-                                let PageState::Unfolded(ps) = state else {
-                                    unreachable!()
-                                };
                                 walk_words(
-                                    ps.resolve_mut(arena),
+                                    arena.block_mut(id),
                                     word,
                                     end_word,
-                                    new_raw,
-                                    fiber,
-                                    write,
-                                    fiber_clock,
+                                    &incoming,
+                                    tiered,
                                     &mut on_conflict,
                                 );
                             }
                         }
-                        PageState::Unfolded(ps) => {
+                        PageState::Unfolded(id) => {
                             walk_words(
-                                ps.resolve_mut(arena),
+                                arena.block_mut(*id),
                                 word,
                                 end_word,
-                                new_raw,
-                                fiber,
-                                write,
-                                fiber_clock,
+                                &incoming,
+                                tiered,
                                 &mut on_conflict,
                             );
                         }
@@ -871,9 +869,9 @@ impl ShadowMemory {
         };
         let slots: &[u64] = match page {
             PageState::Summary(summary) => &summary[..],
-            PageState::Unfolded(ps) => {
+            PageState::Unfolded(id) => {
                 let slot_base = (word % WORDS_PER_PAGE as u64) as usize * SLOTS_PER_WORD;
-                &ps.resolve(&self.arena)[slot_base..slot_base + SLOTS_PER_WORD]
+                &self.arena.block(*id)[slot_base..slot_base + SLOTS_PER_WORD]
             }
         };
         slots
@@ -897,29 +895,27 @@ impl ShadowMemory {
     }
 
     /// Approximate heap bytes used by the shadow (drives Fig. 11).
-    /// Summary pages cost a fixed few words; owned unfolded pages cost
-    /// the full slot array; arena-backed pages cost only their map entry
-    /// here because every slab byte — carved, free-listed, or not yet
-    /// carved — is charged via [`PageArena::heap_bytes`]. This keeps the
-    /// page-budget machinery honest about what the arena really holds.
+    /// Summary pages cost a fixed few words; unfolded pages cost only
+    /// their map entry here because every slab byte — carved,
+    /// free-listed, or not yet carved — is charged via
+    /// [`PageArena::heap_bytes`]. This keeps the page-budget machinery
+    /// honest about what the arena really holds.
     pub fn heap_bytes(&self) -> u64 {
         self.pages
             .values()
             .map(|p| match p {
                 PageState::Summary(_) => (SLOTS_PER_WORD * 8 + 32) as u64,
-                PageState::Unfolded(PageSlots::Owned(_)) => (SLOTS_PER_PAGE * 8 + 32) as u64,
-                PageState::Unfolded(PageSlots::Arena(_)) => 32,
+                PageState::Unfolded(_) => 32,
             })
             .sum::<u64>()
             + self.arena.heap_bytes()
     }
 
-    /// Serialize the entire shadow — mode flags, the same-state cache,
+    /// Serialize the entire shadow — mode and budget, the same-state cache,
     /// the tier counters, the arena shape, and every page (sorted by
     /// page key so repeated snapshots of one state are byte-identical).
     pub(crate) fn write_snapshot(&self, w: &mut SnapshotWriter) {
         w.put_bool(self.tiered);
-        w.put_bool(self.use_arena);
         w.put_bool(self.page_budget.is_some());
         if let Some(b) = self.page_budget {
             w.put_u64(b as u64);
@@ -948,12 +944,8 @@ impl ShadowMemory {
                         w.put_u64(v);
                     }
                 }
-                PageState::Unfolded(PageSlots::Owned(slots)) => {
+                PageState::Unfolded(id) => {
                     w.put_u8(1);
-                    write_sparse_slots(w, slots);
-                }
-                PageState::Unfolded(PageSlots::Arena(id)) => {
-                    w.put_u8(2);
                     w.put_u32(id.slab);
                     w.put_u32(id.block);
                     write_sparse_slots(w, self.arena.block(*id));
@@ -962,13 +954,12 @@ impl ShadowMemory {
         }
     }
 
-    /// Rebuild a shadow from [`Self::write_snapshot`] output. Arena
+    /// Rebuild a shadow from [`Self::write_snapshot`] output. Unfolded
     /// pages are written back into their original block handles, so
     /// subsequent carve/recycle order — and with it every arena counter
     /// — evolves exactly as in the snapshotted shadow.
     pub(crate) fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let tiered = r.get_bool()?;
-        let use_arena = r.get_bool()?;
         let page_budget = if r.get_bool()? {
             Some(r.get_u64()? as usize)
         } else {
@@ -1013,12 +1004,6 @@ impl ShadowMemory {
                     PageState::Summary(s)
                 }
                 1 => {
-                    let mut slots: Box<[u64; SLOTS_PER_PAGE]> =
-                        vec![0u64; SLOTS_PER_PAGE].try_into().expect("page size");
-                    read_sparse_slots(r, &mut slots)?;
-                    PageState::Unfolded(PageSlots::Owned(slots))
-                }
-                2 => {
                     let id = BlockId {
                         slab: r.get_u32()?,
                         block: r.get_u32()?,
@@ -1041,7 +1026,7 @@ impl ShadowMemory {
                     }
                     read_sparse_slots(r, slots)?;
                     arena_blocks += 1;
-                    PageState::Unfolded(PageSlots::Arena(id))
+                    PageState::Unfolded(id)
                 }
                 t => {
                     return Err(SnapshotError::Corrupt(format!("page state tag {t}")));
@@ -1051,14 +1036,13 @@ impl ShadowMemory {
         }
         if arena_blocks != arena.live_blocks {
             return Err(SnapshotError::Corrupt(format!(
-                "{arena_blocks} arena-backed pages but {} live blocks recorded",
+                "{arena_blocks} unfolded pages but {} live blocks recorded",
                 arena.live_blocks
             )));
         }
         Ok(ShadowMemory {
             pages,
             arena,
-            use_arena,
             tiered,
             last,
             counters,
@@ -1111,36 +1095,45 @@ fn read_sparse_slots(
     Ok(())
 }
 
-/// Flat walk over `[word, end_word]` within one page's slot array:
-/// per-word conflict scan + store.
-#[allow(clippy::too_many_arguments)]
+/// Walk `[word, end_word]` within one page's slot array: per-word
+/// conflict scan + store.
+///
+/// With `runs` (tiered mode) the walk is run-granular: a word whose
+/// pre-store slots equal those of the last scanned word reuses that
+/// [`WordScan`] — only the conflict addresses and the eviction victim
+/// are per word — so a run of identical words costs one scan plus a
+/// 4-slot compare per word. Emission order and stored slots are exactly
+/// those of the per-word scan, which `runs = false` (the flat mode)
+/// keeps.
 #[inline]
 fn walk_words(
     page_slots: &mut [u64; SLOTS_PER_PAGE],
     word: u64,
     end_word: u64,
-    new_raw: u64,
-    fiber: FiberId,
-    write: bool,
-    fiber_clock: &VectorClock,
+    acc: &Incoming<'_>,
+    runs: bool,
     on_conflict: &mut impl FnMut(RawConflict),
 ) {
-    let mut w = word;
-    while w <= end_word {
+    let mut last: Option<WordScan> = None;
+    for w in word..=end_word {
         let slot_base = (w % WORDS_PER_PAGE as u64) as usize * SLOTS_PER_WORD;
         let slots = &mut page_slots[slot_base..slot_base + SLOTS_PER_WORD];
-        let decision = scan_slots(slots, fiber, write, fiber_clock, |prev| {
-            on_conflict(RawConflict {
-                word_addr: w * WORD_BYTES,
-                prev,
+        let decision = if runs {
+            let scan = match &mut last {
+                Some(scan) if scan.slots[..] == *slots => scan,
+                last => last.insert(WordScan::new(slots.try_into().expect("word slots"), acc)),
+            };
+            scan.emit(w, on_conflict);
+            scan.decision
+        } else {
+            scan_slots(slots, acc, |prev| {
+                on_conflict(RawConflict {
+                    word_addr: w * WORD_BYTES,
+                    prev,
+                })
             })
-        });
-        match decision {
-            StoreDecision::Skip => {}
-            StoreDecision::At(i) => slots[i] = new_raw,
-            StoreDecision::Evict => slots[victim_slot(w, fiber)] = new_raw,
-        }
-        w += 1;
+        };
+        decision.apply(slots, w, acc);
     }
 }
 
@@ -1982,30 +1975,86 @@ mod tests {
         }
     }
 
+    /// Every conflict of an unordered whole-page write by fiber 9 to a
+    /// page summarized by `readers` whole-page reads.
+    fn reannotate_summary(readers: usize) -> (ShadowMemory, Vec<RawConflict>) {
+        let mut sh = ShadowMemory::new();
+        let clk = VectorClock::new();
+        for f in 1..=readers {
+            sh.access_range(0, PAGE_BYTES, false, fid(f), 1, ctx(0), &clk, |_| {});
+        }
+        let mut hits = Vec::new();
+        sh.access_range(0, PAGE_BYTES, true, fid(9), 1, ctx(9), &clk, |c| {
+            hits.push(c)
+        });
+        (sh, hits)
+    }
+
     #[test]
-    fn arena_onoff_shadow_states_agree() {
-        let run = |arena: bool| {
-            let mut sh = ShadowMemory::with_options(true, arena);
-            let mut clk = VectorClock::new();
-            clk.set(fid(1), 1);
-            let mut conflicts = Vec::new();
-            // Mixed schedule: summaries, unfolds, evictions, partials.
-            for f in 1..=5u32 {
-                let (ff, fc) = (fid(f as usize), ctx(f));
-                sh.access_range(0, 2 * PAGE_BYTES, false, ff, 1, fc, &clk, |c| {
-                    conflicts.push(c)
+    fn clean_whole_page_reannotation_emits_nothing_and_keeps_the_summary() {
+        let mut sh = ShadowMemory::new();
+        let mut clk = VectorClock::new();
+        sh.access_range(0, 2 * PAGE_BYTES, true, fid(1), 1, ctx(0), &clk, |_| {});
+        // Fiber 2 is ordered after fiber 1: a foreign but clean epoch.
+        clk.set(fid(1), 1);
+        sh.access_range(
+            0,
+            2 * PAGE_BYTES,
+            true,
+            fid(2),
+            1,
+            ctx(1),
+            &clk,
+            no_conflict_expected,
+        );
+        assert_eq!(sh.summary_page_count(), 2);
+        assert_eq!(sh.counters().page_unfolds, 0);
+        assert_eq!(sh.counters().page_summaries_stored, 4);
+        assert_eq!(sh.word_accesses(PAGE_BYTES + 8).len(), 2);
+    }
+
+    #[test]
+    fn racy_whole_page_reannotation_emits_every_word_in_flat_order() {
+        for readers in 1..=3 {
+            let (sh, hits) = reannotate_summary(readers);
+            assert_eq!(hits.len(), WORDS_PER_PAGE * readers);
+            // Word-major, slot order within a word: exactly the flat walk.
+            let expected: Vec<(u64, FiberId)> = (0..WORDS_PER_PAGE as u64)
+                .flat_map(|w| (1..=readers).map(move |f| (w * WORD_BYTES, fid(f))))
+                .collect();
+            let got: Vec<(u64, FiberId)> =
+                hits.iter().map(|c| (c.word_addr, c.prev.fiber)).collect();
+            assert_eq!(got, expected, "{readers} readers");
+            assert_eq!(sh.summary_page_count(), 1, "no eviction, no unfold");
+        }
+    }
+
+    #[test]
+    fn run_walk_matches_flat_walk_on_unfolded_pages() {
+        // Runs broken by one divergent word, an eviction run and ragged
+        // ends: the tiered walk's conflicts (in order) and slots must be
+        // those of the flat walk.
+        let run = |tiered: bool| {
+            let mut sh = ShadowMemory::with_tiering(tiered);
+            let clk = VectorClock::new();
+            let mut hits = Vec::new();
+            sh.access_range(8, PAGE_BYTES - 16, false, fid(1), 1, ctx(1), &clk, |_| {});
+            sh.access_range(1000, 8, true, fid(2), 1, ctx(2), &clk, |c| hits.push(c));
+            for f in 3..=6 {
+                sh.access_range(8, PAGE_BYTES - 16, false, fid(f), 1, ctx(3), &clk, |c| {
+                    hits.push(c)
                 });
-                sh.access_range(40, 16, true, ff, 2, fc, &clk, |c| conflicts.push(c));
             }
-            let words: Vec<Vec<ShadowAccess>> = (0..2 * WORDS_PER_PAGE as u64)
+            sh.access_range(4, PAGE_BYTES - 8, true, fid(7), 1, ctx(7), &clk, |c| {
+                hits.push(c)
+            });
+            let words: Vec<Vec<ShadowAccess>> = (0..WORDS_PER_PAGE as u64)
                 .map(|w| sh.word_accesses(w * WORD_BYTES))
                 .collect();
-            (words, conflicts, sh.page_count())
+            (hits, words)
         };
-        let (w_on, c_on, p_on) = run(true);
-        let (w_off, c_off, p_off) = run(false);
-        assert_eq!(w_on, w_off);
-        assert_eq!(c_on, c_off);
-        assert_eq!(p_on, p_off);
+        let (tiered, flat) = (run(true), run(false));
+        assert!(!tiered.0.is_empty());
+        assert_eq!(tiered, flat);
     }
 }

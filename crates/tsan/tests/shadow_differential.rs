@@ -19,6 +19,13 @@
 //! annotations, frequent identical re-annotations (the fast-path pattern),
 //! some partial/unaligned accesses (unfold pressure), 6 fibers (slot
 //! eviction pressure), and release/acquire edges over a few sync keys.
+//!
+//! Three scripted shapes aim at the boundaries of the run-granular walk
+//! and of summary-tier emission — a divergent word inside a uniform
+//! unfolded range, foreign unordered whole-page re-annotations of
+//! summaries, and runs whose decision is an eviction. They never repeat
+//! an access back to back, so there the tiered shadow must match the
+//! reference *exactly*: every conflict emission, in order.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -184,6 +191,68 @@ fn gen_op(rng: &mut Lcg) -> Op {
     }
 }
 
+// ---- run-boundary shapes ----------------------------------------------------
+
+/// A scripted op sequence drawn with its parameters from the LCG.
+type Shape = fn(&mut Lcg) -> Vec<Op>;
+
+/// Access op: (addr, len, write, fiber) with a ctx derived from the fiber.
+fn access(addr: u64, len: u64, write: bool, fiber: usize) -> Op {
+    Op::Access(addr, len, write, fiber, fiber as u32)
+}
+
+/// One divergent word in the middle of an otherwise uniform unfolded
+/// range: fiber `a` reads a ragged multi-page range (every page
+/// unfolded, all words alike), fiber `b` writes one word inside it, and
+/// an unordered fiber `c` re-annotates the whole range — the run walk
+/// must break at the divergent word and resume after it.
+fn divergent_word_shape(rng: &mut Lcg) -> Vec<Op> {
+    let pages = 1 + rng.below(3);
+    let base = rng.below(ARENA_PAGES - pages) * PAGE_BYTES;
+    let (start, len) = (base + 8 * (1 + rng.below(4)), pages * PAGE_BYTES - 64);
+    let odd = start + 8 * (1 + rng.below(len / 8 - 2));
+    vec![
+        access(start, len, false, 0),
+        access(odd, 8, true, 1),
+        access(start - 8, len + 16, rng.below(2) == 0, 2),
+    ]
+}
+
+/// A foreign, unordered whole-page re-annotation of summarized pages:
+/// conflicts found at the summary tier are re-emitted for every word.
+/// A release/acquire edge orders the re-annotator after some writers
+/// only, so clean and racy summary re-annotations mix.
+fn summary_conflict_shape(rng: &mut Lcg) -> Vec<Op> {
+    let pages = 1 + rng.below(3);
+    let base = rng.below(ARENA_PAGES - pages + 1) * PAGE_BYTES;
+    let len = pages * PAGE_BYTES;
+    let mut ops = vec![access(base, len, true, 0), access(base, len, false, 1)];
+    if rng.below(2) == 0 {
+        ops.push(Op::Release(0, 0));
+        ops.push(Op::Acquire(3, 0));
+    }
+    ops.push(access(base, len, rng.below(2) == 0, 3));
+    ops.push(access(base, len, true, 4));
+    ops
+}
+
+/// A run whose decision is `Evict`: five fibers read one range, so every
+/// word holds four foreign epochs when the fifth arrives and each word
+/// evicts its own victim; a writer then conflicts with the survivors.
+/// Half the time the range is page-aligned (summaries that must unfold
+/// first), half the time ragged (unfolded from the start).
+fn evict_run_shape(rng: &mut Lcg) -> Vec<Op> {
+    let base = rng.below(ARENA_PAGES - 1) * PAGE_BYTES;
+    let (start, len) = if rng.below(2) == 0 {
+        (base, PAGE_BYTES)
+    } else {
+        (base + 24, PAGE_BYTES + 40)
+    };
+    let mut ops: Vec<Op> = (0..5).map(|f| access(start, len, false, f)).collect();
+    ops.push(access(start + 16, len - 32, true, 5));
+    ops
+}
+
 // ---- the differential harness ---------------------------------------------
 
 /// Conflict multiset: (word_addr, packed prev) → count. Multiset (not
@@ -196,21 +265,97 @@ fn record(conflicts: &mut Conflicts, c: RawConflict) {
     *conflicts.entry((c.word_addr, pack(c.prev))).or_insert(0) += 1;
 }
 
-fn run_trace(seed: u64, ops: usize, tiered: bool, arena: bool) -> (Conflicts, Conflicts) {
+/// The shadow under test and the reference, fed the same ops under one
+/// happens-before state.
+struct Harness {
+    dut: ShadowMemory,
+    reference: ReferenceShadow,
+    clocks: Vec<VectorClock>,
+    sync: Vec<Option<VectorClock>>,
+}
+
+impl Harness {
+    fn new(tiered: bool) -> Self {
+        Harness {
+            dut: ShadowMemory::with_tiering(tiered),
+            reference: ReferenceShadow::default(),
+            clocks: (0..FIBERS)
+                .map(|f| {
+                    let mut c = VectorClock::new();
+                    c.set(FiberId::from_index(f), 1);
+                    c
+                })
+                .collect(),
+            sync: vec![None; SYNC_KEYS],
+        }
+    }
+
+    /// Apply one op to both shadows, passing each side's conflicts, in
+    /// emission order, to its own callback.
+    fn apply(
+        &mut self,
+        op: Op,
+        mut on_dut: impl FnMut(RawConflict),
+        mut on_ref: impl FnMut(RawConflict),
+    ) {
+        match op {
+            Op::Access(addr, len, write, f, ctx) => {
+                let fiber = FiberId::from_index(f);
+                let clock = self.clocks[f].get(fiber);
+                let fc = &self.clocks[f];
+                self.dut
+                    .access_range(addr, len, write, fiber, clock, CtxId(ctx), fc, &mut on_dut);
+                self.reference.access_range(
+                    addr,
+                    len,
+                    write,
+                    fiber,
+                    clock,
+                    CtxId(ctx),
+                    fc,
+                    &mut on_ref,
+                );
+            }
+            Op::Release(f, k) => {
+                let fiber = FiberId::from_index(f);
+                let snapshot = self.clocks[f].clone();
+                match &mut self.sync[k] {
+                    Some(sv) => sv.join(&snapshot),
+                    None => self.sync[k] = Some(snapshot),
+                }
+                let cur = self.clocks[f].get(fiber);
+                self.clocks[f].set(fiber, cur + 1);
+            }
+            Op::Acquire(f, k) => {
+                if let Some(sv) = &self.sync[k] {
+                    self.clocks[f].join(sv);
+                }
+            }
+            Op::RepeatLast => unreachable!("run_trace resolves repeats"),
+        }
+    }
+
+    /// Assert both sides hold the same slots at `addr`.
+    fn assert_word_agrees(&self, addr: u64, what: &str) {
+        let mut a = self.dut.word_accesses(addr);
+        let mut b = self.reference.word_accesses(addr);
+        let key = |x: &ShadowAccess| pack(*x);
+        a.sort_by_key(key);
+        b.sort_by_key(key);
+        assert_eq!(a, b, "{what}: slots diverged at {addr:#x}");
+    }
+
+    /// Full sweep over every word both sides could have touched.
+    fn assert_all_words_agree(&self, what: &str) {
+        for w in 0..(ARENA_PAGES * PAGE_BYTES / WORD_BYTES) {
+            self.assert_word_agrees(w * WORD_BYTES, what);
+        }
+    }
+}
+
+fn run_trace(seed: u64, ops: usize, tiered: bool) -> (Conflicts, Conflicts) {
     let mut rng = Lcg(seed);
-    let mut dut = ShadowMemory::with_options(tiered, arena);
-    let mut reference = ReferenceShadow::default();
-
-    // Happens-before state, maintained once and fed to both shadows.
-    let mut clocks: Vec<VectorClock> = (0..FIBERS)
-        .map(|f| {
-            let mut c = VectorClock::new();
-            c.set(FiberId::from_index(f), 1);
-            c
-        })
-        .collect();
-    let mut sync: Vec<Option<VectorClock>> = vec![None; SYNC_KEYS];
-
+    let mut h = Harness::new(tiered);
     let mut dut_conflicts = Conflicts::new();
     let mut ref_conflicts = Conflicts::new();
     let mut last_access: Option<(u64, u64, bool, usize, u32)> = None;
@@ -225,74 +370,50 @@ fn run_trace(seed: u64, ops: usize, tiered: bool, arena: bool) -> (Conflicts, Co
             },
             op => op,
         };
-        match op {
-            Op::Access(addr, len, write, f, ctx) => {
-                last_access = Some((addr, len, write, f, ctx));
-                let fiber = FiberId::from_index(f);
-                let clock = clocks[f].get(fiber);
-                dut.access_range(
-                    addr,
-                    len,
-                    write,
-                    fiber,
-                    clock,
-                    CtxId(ctx),
-                    &clocks[f],
-                    |c| record(&mut dut_conflicts, c),
-                );
-                reference.access_range(
-                    addr,
-                    len,
-                    write,
-                    fiber,
-                    clock,
-                    CtxId(ctx),
-                    &clocks[f],
-                    |c| record(&mut ref_conflicts, c),
-                );
-            }
-            Op::Release(f, k) => {
-                let fiber = FiberId::from_index(f);
-                let snapshot = clocks[f].clone();
-                match &mut sync[k] {
-                    Some(sv) => sv.join(&snapshot),
-                    None => sync[k] = Some(snapshot),
-                }
-                let cur = clocks[f].get(fiber);
-                clocks[f].set(fiber, cur + 1);
-            }
-            Op::Acquire(f, k) => {
-                if let Some(sv) = &sync[k] {
-                    clocks[f].join(sv);
-                }
-            }
-            Op::RepeatLast => unreachable!(),
+        if let Op::Access(a, l, w, f, c) = op {
+            last_access = Some((a, l, w, f, c));
         }
+        h.apply(
+            op,
+            |c| record(&mut dut_conflicts, c),
+            |c| record(&mut ref_conflicts, c),
+        );
         // Spot-check slot-level equality as the trace evolves (cheap:
         // a few words per step).
         if i % 97 == 0 {
             let w = (rng.below(ARENA_PAGES * PAGE_BYTES / WORD_BYTES)) * WORD_BYTES;
-            let mut a = dut.word_accesses(w);
-            let mut b = reference.word_accesses(w);
-            let key = |x: &ShadowAccess| pack(*x);
-            a.sort_by_key(key);
-            b.sort_by_key(key);
-            assert_eq!(a, b, "seed {seed} step {i}: slots diverged at {w:#x}");
+            h.assert_word_agrees(w, &format!("seed {seed} step {i}"));
         }
     }
-
-    // Full final sweep over every word both sides could have touched.
-    for w in 0..(ARENA_PAGES * PAGE_BYTES / WORD_BYTES) {
-        let addr = w * WORD_BYTES;
-        let mut a = dut.word_accesses(addr);
-        let mut b = reference.word_accesses(addr);
-        let key = |x: &ShadowAccess| pack(*x);
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b, "seed {seed}: final slots diverged at {addr:#x}");
-    }
-
+    h.assert_all_words_agree(&format!("seed {seed} final"));
     (dut_conflicts, ref_conflicts)
+}
+
+/// Run `shape`-generated op sequences back to back (no op repeats its
+/// predecessor, so the same-state fast path never fires) and require
+/// the conflicts — every emission, in order — and the final slots to
+/// equal the reference's exactly. Returns the number of conflicts seen.
+fn run_shape_exact(seed: u64, tiered: bool, shape: Shape) -> usize {
+    let mut rng = Lcg(seed);
+    let mut h = Harness::new(tiered);
+    let (mut dut, mut reference) = (Vec::new(), Vec::new());
+    for round in 0..6 {
+        for op in shape(&mut rng) {
+            h.apply(op, |c| dut.push(c), |c| reference.push(c));
+        }
+        // Fresh epochs for the next round, so its first access is never
+        // identical to this round's last.
+        for f in 0..FIBERS {
+            h.apply(Op::Release(f, round % SYNC_KEYS), |_| {}, |_| {});
+        }
+    }
+    assert_eq!(h.dut.counters().fastpath_hits, 0, "seed {seed}");
+    assert_eq!(
+        dut, reference,
+        "seed {seed} (tiered={tiered}): conflict emissions diverged"
+    );
+    h.assert_all_words_agree(&format!("seed {seed} (tiered={tiered})"));
+    dut.len()
 }
 
 /// Conflict *sets* (with per-word granularity) must match exactly. The
@@ -318,17 +439,14 @@ fn assert_same_detections(seed: u64, dut: &Conflicts, reference: &Conflicts) {
 
 #[test]
 fn tiered_matches_reference_on_random_traces() {
-    // ~10k randomized ops across several seeds, with the page arena both
-    // on and off — the allocator must never change detections.
-    for arena in [true, false] {
-        for seed in [1, 2, 3, 0xDEAD, 0xC0FFEE] {
-            let (dut, reference) = run_trace(seed, 2000, true, arena);
-            assert_same_detections(seed, &dut, &reference);
-            assert!(
-                !reference.is_empty(),
-                "seed {seed}: trace produced no conflicts — generator is too tame to test anything"
-            );
-        }
+    // ~10k randomized ops across several seeds.
+    for seed in [1, 2, 3, 0xDEAD, 0xC0FFEE] {
+        let (dut, reference) = run_trace(seed, 2000, true);
+        assert_same_detections(seed, &dut, &reference);
+        assert!(
+            !reference.is_empty(),
+            "seed {seed}: trace produced no conflicts — generator is too tame to test anything"
+        );
     }
 }
 
@@ -336,13 +454,29 @@ fn tiered_matches_reference_on_random_traces() {
 fn untiered_matches_reference_exactly() {
     // With tiering off the walk is the same algorithm as the reference;
     // even the emission counts must line up.
-    for arena in [true, false] {
-        for seed in [7, 8] {
-            let (dut, reference) = run_trace(seed, 1500, false, arena);
-            assert_eq!(
-                dut, reference,
-                "seed {seed}: untiered shadow diverged from reference (arena={arena})"
-            );
+    for seed in [7, 8] {
+        let (dut, reference) = run_trace(seed, 1500, false);
+        assert_eq!(
+            dut, reference,
+            "seed {seed}: untiered shadow diverged from reference"
+        );
+    }
+}
+
+#[test]
+fn run_boundaries_match_reference_exactly() {
+    let shapes: [(&str, Shape); 3] = [
+        ("divergent word", divergent_word_shape),
+        ("summary-tier conflicts", summary_conflict_shape),
+        ("evict run", evict_run_shape),
+    ];
+    for (name, shape) in shapes {
+        for tiered in [true, false] {
+            let mut conflicts = 0;
+            for seed in [1, 2, 3, 0xBEEF, 0xC0FFEE] {
+                conflicts += run_shape_exact(seed, tiered, shape);
+            }
+            assert!(conflicts > 0, "{name}: shape raised no conflicts");
         }
     }
 }
